@@ -188,15 +188,6 @@ def build_corpus(train_records, valid_records, test_records,
     return corpus
 
 
-def load_corpus(train_path, valid_path, test_path) -> Corpus:
-    train_records, d1 = read_jsonl(train_path)
-    valid_records, d2 = read_jsonl(valid_path)
-    test_records, d3 = read_jsonl(test_path)
-    corpus = build_corpus(train_records, valid_records, test_records)
-    corpus.counters["duplicate_labels"] = d1 + d2 + d3
-    return corpus
-
-
 # ---------------------------------------------------------------------------
 # synthetic corpus
 # ---------------------------------------------------------------------------

@@ -39,10 +39,6 @@ class DecoderConfig:
         if self.d_model % self.num_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
 
-    @property
-    def null_index(self) -> int:
-        return self.num_classes - NULL_OFFSET
-
 
 @dataclass
 class PredictionSet:

@@ -29,13 +29,14 @@ class TokenVocabulary:
 
     Indices 0..3 are PAD, CLS, SEP, OOV in that order; corpus tokens follow
     in first-occurrence order, which makes rebuilds from the same split
-    reproducible.
+    reproducible.  The reserved names are never looked up: a text that
+    spells "<sep>" holds an unknown word, not a separator.
     """
 
     def __init__(self, tokens: list[str]):
         self._names = list(_SPECIALS) + list(tokens)
-        self._index = {name: i for i, name in enumerate(self._names)}
-        if len(self._index) != len(self._names):
+        self._index = {name: i for i, name in enumerate(self._names) if i >= len(_SPECIALS)}
+        if len(set(self._names)) != len(self._names):
             raise VocabularyError("vocabulary contains duplicate tokens")
 
     @classmethod
@@ -44,7 +45,7 @@ class TokenVocabulary:
         for text in texts:
             for token in tokenize(text):
                 seen.setdefault(token, None)
-        return cls(list(seen))
+        return cls([token for token in seen if token not in _SPECIALS])
 
     @property
     def size(self) -> int:
@@ -57,19 +58,6 @@ class TokenVocabulary:
         """Token ids wrapped in CLS ... SEP; unknown tokens map to OOV."""
         body = [self._index.get(tok, OOV) for tok in tokenize(text)]
         return np.array([CLS] + body + [SEP], dtype=np.intp)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for name in self._names:
-                fh.write(name + "\n")
-
-    @classmethod
-    def load(cls, path) -> "TokenVocabulary":
-        with open(path, encoding="utf-8") as fh:
-            names = [line.rstrip("\n") for line in fh]
-        if names[:4] != list(_SPECIALS):
-            raise VocabularyError(f"vocabulary file {path} lacks the four reserved tokens")
-        return cls(names[4:])
 
     def to_list(self) -> list[str]:
         return list(self._names)

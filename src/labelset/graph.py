@@ -30,22 +30,17 @@ def build_counts(train: Dataset, vocab: LabelVocabulary) -> tuple[np.ndarray, np
     if len(train) == 0:
         raise GraphConstructionError("cannot build a label graph from an empty training set")
     k = vocab.size
-    counts = np.zeros((k, k), dtype=np.int64)
-    occurrences = np.zeros(k, dtype=np.int64)
-    for sample in train:
+    membership = np.zeros((len(train), k), dtype=np.int64)
+    for row, sample in enumerate(train):
         labels = sample.labels
         if len(set(labels)) != len(labels):
             raise ContractError("duplicate labels within one sample")
         for a in labels:
             if not 0 <= a < k:
                 raise ContractError(f"label index {a} out of range for K={k}")
-        for a in labels:
-            occurrences[a] += 1
-            for b in labels:
-                if a != b:
-                    counts[a, b] += 1
-    np.fill_diagonal(counts, occurrences)
-    return counts, occurrences
+        membership[row, list(labels)] = 1
+    counts = membership.T @ membership
+    return counts, np.diag(counts).copy()
 
 
 def conditional_probabilities(counts: np.ndarray, occurrences: np.ndarray) -> np.ndarray:
@@ -95,8 +90,6 @@ class LabelGraph:
 
     def __init__(self, train: Dataset, vocab: LabelVocabulary, tau: float, p_neighbor: float):
         self.num_labels = vocab.size
-        self.tau = tau
-        self.p_neighbor = p_neighbor
         self.counts, self.occurrences = build_counts(train, vocab)
         self.cond_prob = conditional_probabilities(self.counts, self.occurrences)
         self.reweighted = threshold_and_reweight(self.cond_prob, tau, p_neighbor)

@@ -36,14 +36,6 @@ class MetricAccumulator:
         self.bit_errors += len(gold ^ pred)
         self.num_samples += 1
 
-    def merge(self, other: "MetricAccumulator") -> "MetricAccumulator":
-        if other.num_labels != self.num_labels:
-            raise ContractError("cannot merge accumulators over different label counts")
-        merged = MetricAccumulator(self.num_labels)
-        for field in ("tp", "fp", "fn", "bit_errors", "num_samples"):
-            setattr(merged, field, getattr(self, field) + getattr(other, field))
-        return merged
-
     def finalize(self) -> dict[str, float]:
         if self.num_samples < 1:
             raise ContractError("no samples accumulated")

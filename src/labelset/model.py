@@ -10,6 +10,7 @@ reproducible run to run.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -187,8 +188,12 @@ class Model(nn.Module):
 
 def build_model(config: RunConfig, corpus: Corpus, graph: LabelGraph | None = None) -> Model:
     """Resolve the slot count, build the label graph if needed, assemble."""
-    resolved = RunConfig.from_dict({**config.to_dict(),
-                                    "num_queries": resolve_num_queries(config, corpus)})
+    num_queries = resolve_num_queries(config, corpus)
+    largest = max((len(s.labels) for s in corpus.train), default=0)
+    if config.head == "set_prediction" and num_queries < largest:
+        raise ConfigError(f"{num_queries} query slots cannot hold the largest "
+                          f"training gold set ({largest} labels)")
+    resolved = RunConfig.from_dict({**config.to_dict(), "num_queries": num_queries})
     propagation = None
     if resolved.head == "set_prediction" and resolved.use_gcn:
         if graph is None:
@@ -200,6 +205,8 @@ def build_model(config: RunConfig, corpus: Corpus, graph: LabelGraph | None = No
 
 
 def save_checkpoint(path, model: Model) -> None:
+    """Write through a temp file and rename, so a crash mid-write leaves any
+    earlier checkpoint at ``path`` intact."""
     arrays = {
         "__version__": np.array(CHECKPOINT_VERSION),
         "__config__": np.array(json.dumps(model.config.to_dict())),
@@ -210,7 +217,14 @@ def save_checkpoint(path, model: Model) -> None:
     }
     for name, param in model.named_parameters().items():
         arrays[f"param/{name}"] = param.data
-    np.savez(path, **arrays)
+    temp = os.fspath(path) + ".tmp"
+    try:
+        with open(temp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
 
 
 def load_checkpoint(path) -> Model:

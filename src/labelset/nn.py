@@ -50,9 +50,6 @@ class Module:
             out.update(child.named_parameters(prefix + name + "."))
         return out
 
-    def parameters(self) -> list[T.Tensor]:
-        return list(self.named_parameters().values())
-
 
 class Linear(Module):
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int):

@@ -51,9 +51,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -152,6 +149,8 @@ def as_tensor(value) -> Tensor:
 
 
 def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+    # only a node with a parent that requires grad reaches the tape, so the
+    # backward of a single-input op may write its parent's grad unchecked
     tracked = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor(out_data, requires_grad=tracked)
     if tracked:
@@ -241,8 +240,7 @@ def neg(a) -> Tensor:
     a = as_tensor(a)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.grad -= g
+        a.grad -= g
 
     return _record(-a.data, (a,), backward_fn)
 
@@ -281,9 +279,8 @@ def softmax(x) -> Tensor:
     y = exped / exped.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        if x.requires_grad:
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            x.grad += (g - inner) * y
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        x.grad += (g - inner) * y
 
     return _record(y, (x,), backward_fn)
 
@@ -293,21 +290,9 @@ def log(x) -> Tensor:
     out = np.log(x.data)
 
     def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g / x.data
+        x.grad += g / x.data
 
     return _record(out, (x,), backward_fn)
-
-
-def sqrt(x) -> Tensor:
-    x = as_tensor(x)
-    y = np.sqrt(x.data)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g / (2.0 * y)
-
-    return _record(y, (x,), backward_fn)
 
 
 def sqrt_clamped(x, floor: float = 1e-12) -> Tensor:
@@ -317,8 +302,7 @@ def sqrt_clamped(x, floor: float = 1e-12) -> Tensor:
     y = np.sqrt(x.data)
 
     def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g / (2.0 * np.sqrt(np.maximum(x.data, floor)))
+        x.grad += g / (2.0 * np.sqrt(np.maximum(x.data, floor)))
 
     return _record(y, (x,), backward_fn)
 
@@ -327,8 +311,7 @@ def relu(x) -> Tensor:
     x = as_tensor(x)
 
     def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g * (x.data > 0.0)
+        x.grad += g * (x.data > 0.0)
 
     return _record(np.maximum(x.data, 0.0), (x,), backward_fn)
 
@@ -337,8 +320,7 @@ def leaky_relu(x, slope: float = 0.01) -> Tensor:
     x = as_tensor(x)
 
     def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g * np.where(x.data > 0.0, 1.0, slope)
+        x.grad += g * np.where(x.data > 0.0, 1.0, slope)
 
     return _record(np.where(x.data > 0.0, x.data, slope * x.data), (x,), backward_fn)
 
@@ -349,22 +331,10 @@ def gelu(x) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
 
     def backward_fn(g):
-        if x.requires_grad:
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-            x.grad += g * (cdf + x.data * pdf)
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
+        x.grad += g * (cdf + x.data * pdf)
 
     return _record(x.data * cdf, (x,), backward_fn)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    y = expit(x.data)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g * y * (1.0 - y)
-
-    return _record(y, (x,), backward_fn)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -400,8 +370,7 @@ def embedding(table, ids) -> Tensor:
     out = table.data[ids]
 
     def backward_fn(g):
-        if table.requires_grad:
-            np.add.at(table.grad, ids, g)
+        np.add.at(table.grad, ids, g)
 
     return _record(out, (table,), backward_fn)
 
@@ -420,8 +389,7 @@ def gather_rc(x, rows, cols) -> Tensor:
     out = x.data[rows, cols]
 
     def backward_fn(g):
-        if x.requires_grad:
-            np.add.at(x.grad, (rows, cols), g)
+        np.add.at(x.grad, (rows, cols), g)
 
     return _record(out, (x,), backward_fn)
 
@@ -435,8 +403,6 @@ def _reduce(x, axis, keepdims, mean: bool) -> Tensor:
     scale = x.size / max(out.size, 1) if mean else 1.0
 
     def backward_fn(g):
-        if not x.requires_grad:
-            return
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
@@ -455,8 +421,7 @@ def fsum(x) -> Tensor:
     out = np.float64(math.fsum(x.data.ravel()))
 
     def backward_fn(g):
-        if x.requires_grad:
-            x.grad += np.broadcast_to(g, x.data.shape)
+        x.grad += np.broadcast_to(g, x.data.shape)
 
     return _record(out, (x,), backward_fn)
 
@@ -483,8 +448,7 @@ def reshape(x, shape) -> Tensor:
     original = x.data.shape
 
     def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g.reshape(original)
+        x.grad += g.reshape(original)
 
     return _record(x.data.reshape(shape), (x,), backward_fn)
 
@@ -496,21 +460,9 @@ def transpose(x, axes=None) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward_fn(g):
-        if x.requires_grad:
-            x.grad += np.transpose(g, inverse)
+        x.grad += np.transpose(g, inverse)
 
     return _record(np.transpose(x.data, axes), (x,), backward_fn)
-
-
-def clamp_min(x, floor: float) -> Tensor:
-    """Elementwise max(x, floor); gradient flows only where x > floor."""
-    x = as_tensor(x)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g * (x.data > floor)
-
-    return _record(np.maximum(x.data, floor), (x,), backward_fn)
 
 
 def bce_with_logits(logits, targets) -> Tensor:
@@ -523,7 +475,6 @@ def bce_with_logits(logits, targets) -> Tensor:
     out = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
 
     def backward_fn(g):
-        if logits.requires_grad:
-            logits.grad += g * (expit(z) - targets)
+        logits.grad += g * (expit(z) - targets)
 
     return _record(out, (logits,), backward_fn)

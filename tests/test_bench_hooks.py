@@ -1,0 +1,40 @@
+"""The names the benchmark in ``perfbench/`` patches or calls still exist.
+
+The tracer swaps ``owner.__dict__[attr]`` for a wrapper, so each hook must be
+defined on the owner itself, not inherited or imported lazily.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+def test_wrapped_and_counted_names_exist(tracing):
+    hooks = [(target, attr) for target, attr, _ in tracing.WRAP_POINTS + tracing.COUNTED]
+    assert hooks
+    missing = [f"{target}.{attr}" for target, attr in hooks
+               if attr not in vars(tracing._resolve(target))]
+    assert missing == []
+
+
+def test_worker_and_tracer_helpers_exist():
+    from labelset import tensor, training
+
+    assert "batch_iterator" in vars(training)
+    assert len(tensor.active_tape()) >= 0

@@ -109,6 +109,13 @@ class TestExitCodes:
         cfg.write_text(json.dumps(config))
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_too_few_slots_is_config_error_before_training(self, tmp_path, corpus_dir, capsys):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, corpus_dir, out_dir=str(tmp_path / "out"))
+        assert main(["train", "--config", str(cfg), "--m", "1"]) == EXIT_CONFIG
+        assert "largest training gold set (3 labels)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "train_log.jsonl").exists()
+
     def test_bad_flag_value_is_config_error(self, tmp_path, corpus_dir):
         cfg = tmp_path / "c.json"
         write_config(cfg, corpus_dir, out_dir=str(tmp_path / "out"))

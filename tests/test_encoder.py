@@ -34,21 +34,20 @@ class TestTokenizer:
         assert ids[0] == enc.CLS and ids[-1] == enc.SEP
         assert ids[2] == enc.OOV
 
-    def test_file_round_trip(self, tmp_path):
-        vocab = enc.TokenVocabulary.build(["foo bar baz"])
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[:4] == ["<pad>", "<cls>", "<sep>", "<oov>"]
-        assert lines[4] == "foo"
-        again = enc.TokenVocabulary.load(path)
-        assert again.to_list() == vocab.to_list()
+    def test_special_names_in_training_text_are_ordinary_words(self):
+        vocab = enc.TokenVocabulary.build(["a <sep> b", "<PAD> <cls> <oov> c"])
+        assert vocab.to_list() == ["<pad>", "<cls>", "<sep>", "<oov>", "a", "b", "c"]
 
-    def test_load_rejects_file_without_specials(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_text("foo\nbar\n")
+    def test_special_names_encode_as_oov(self):
+        vocab = enc.TokenVocabulary.build(["a b"])
+        ids = vocab.encode("a <sep> <CLS> <pad> <oov> b")
+        npt.assert_array_equal(ids, [enc.CLS, 4, enc.OOV, enc.OOV, enc.OOV, enc.OOV, 5, enc.SEP])
+
+    def test_duplicate_tokens_rejected(self):
         with pytest.raises(VocabularyError):
-            enc.TokenVocabulary.load(path)
+            enc.TokenVocabulary(["a", "b", "a"])
+        with pytest.raises(VocabularyError):
+            enc.TokenVocabulary(["<sep>"])
 
 
 class TestEncoderConfig:

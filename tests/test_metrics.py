@@ -88,10 +88,6 @@ class TestValidation:
         with pytest.raises(ContractError):
             metrics.MetricAccumulator(3).finalize()
 
-    def test_merge_requires_same_label_count(self):
-        with pytest.raises(ContractError):
-            metrics.MetricAccumulator(3).merge(metrics.MetricAccumulator(4))
-
 
 class TestOracleEquivalence:
     def test_random_cases_match_reference_exactly(self):
@@ -100,18 +96,6 @@ class TestOracleEquivalence:
             k = int(rng.integers(2, 9))
             pairs = random_pairs(rng, k, int(rng.integers(1, 20)))
             assert accumulate_all(pairs, k).finalize() == naive_reference(pairs, k)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
-    @settings(max_examples=50, deadline=None)
-    def test_merge_equals_single_pass(self, seed, cut):
-        rng = np.random.default_rng(seed)
-        pairs = random_pairs(rng, 5, 40)
-        cut = cut % len(pairs)
-        merged = accumulate_all(pairs[:cut] or [], 5) if cut else metrics.MetricAccumulator(5)
-        merged = merged.merge(accumulate_all(pairs[cut:], 5)) if cut else accumulate_all(pairs, 5)
-        single = accumulate_all(pairs, 5)
-        if cut:
-            assert merged.finalize() == single.finalize()
 
     def test_invariant_ranges(self):
         rng = np.random.default_rng(1)

@@ -1,6 +1,7 @@
 """Model assembly, configuration validation, and checkpoint round trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ class TestRunConfig:
     def test_resolve_num_queries_explicit_wins(self):
         corpus = tiny_corpus()
         assert resolve_num_queries(tiny_config(num_queries=3), corpus) == 3
+
+    def test_too_few_slots_rejected_before_building(self):
+        corpus = tiny_corpus()
+        widest = max(len(s.labels) for s in corpus.train.samples)
+        with pytest.raises(ConfigError, match=f"largest training gold set \\({widest} labels\\)"):
+            build_model(tiny_config(num_queries=widest - 1), corpus)
+        assert build_model(tiny_config(num_queries=widest), corpus).config.num_queries == widest
+        # the sigmoid head has no slots to fill
+        build_model(tiny_config(num_queries=1, head="bce"), corpus)
 
 
 class TestModelAssembly:
@@ -229,6 +239,25 @@ class TestCheckpoint:
         tampered(path, squash)
         with pytest.raises(CheckpointError, match="shape"):
             load_checkpoint(str(path))
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        corpus = tiny_corpus()
+        model = build_model(tiny_config(), corpus)
+        path = tmp_path / "best.npz"
+        save_checkpoint(str(path), model)
+        before = path.read_bytes()
+
+        def crash(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), build_model(tiny_config(seed=1), corpus))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["best.npz"]
+        assert evaluate(load_checkpoint(str(path)), corpus.test) == evaluate(model, corpus.test)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
