@@ -1,8 +1,9 @@
 """Command-line surface: graph | train | eval | predict | ablate.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
-3 numeric failure.  BLAS thread pools are pinned to one thread before numpy
-loads so training runs are reproducible and desk-scale timings honest.
+3 numeric failure, 4 internal error (the traceback is printed).  BLAS thread
+pools are pinned to one thread before numpy loads so training runs are
+reproducible and desk-scale timings honest.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .errors import EXIT_CONFIG, EXIT_DATA, ConfigError, LabelsetError
+from .errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, ConfigError, LabelsetError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,10 +134,9 @@ def load_splits(config):
     return corpus
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args, config) -> int:
     from .graph import LabelGraph, dump_matrix
 
-    config = resolve_config(args)
     corpus = load_splits(config)
     built = LabelGraph(corpus.train, corpus.label_vocab,
                        tau=config.tau, p_neighbor=config.p_neighbor)
@@ -163,10 +164,9 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, config) -> int:
     from .training import run_training
 
-    config = resolve_config(args)
     corpus = load_splits(config)
     if len(corpus.valid) == 0:
         raise ConfigError("valid_path is required: training selects its checkpoint "
@@ -178,13 +178,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, config) -> int:
     from .data import read_jsonl, records_to_dataset
     from .metrics import render_table, report_json
     from .model import load_checkpoint
     from .training import evaluate
 
-    config = resolve_config(args)
     model = load_checkpoint(args.checkpoint)
     path = getattr(config, f"{args.split}_path")
     if path is None:
@@ -198,7 +197,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args, config) -> int:
+    # settings come from the checkpoint; ``config`` only proves the flags valid
     from .model import load_checkpoint
 
     model = load_checkpoint(args.checkpoint)
@@ -223,12 +223,11 @@ VARIANTS = (
 )
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args, config) -> int:
     from .metrics import render_table
     from .model import RunConfig
     from .training import evaluate, run_training
 
-    config = resolve_config(args)
     corpus = load_splits(config)
     if len(corpus.valid) == 0:
         raise ConfigError("valid_path is required: training selects its checkpoint "
@@ -255,13 +254,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, resolve_config(args))
     except LabelsetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -161,8 +161,7 @@ def records_to_dataset(records, label_vocab: LabelVocabulary,
     return Dataset(name, samples), dropped
 
 
-def build_corpus(train_records, valid_records, test_records,
-                 token_vocab: TokenVocabulary | None = None) -> Corpus:
+def build_corpus(train_records, valid_records, test_records) -> Corpus:
     """Assemble a Corpus from parsed records.
 
     Both vocabularies come from the training records alone.  Training
@@ -175,8 +174,7 @@ def build_corpus(train_records, valid_records, test_records,
         if not record.labels:
             raise ValidationError(f"training record {i} has no labels")
     label_vocab = LabelVocabulary.build(train_records)
-    if token_vocab is None:
-        token_vocab = TokenVocabulary.build(r.text for r in train_records)
+    token_vocab = TokenVocabulary.build(r.text for r in train_records)
 
     train, _ = records_to_dataset(train_records, label_vocab, token_vocab, "train", drop_unseen=False)
     valid, dropped_v = records_to_dataset(valid_records, label_vocab, token_vocab, "valid", drop_unseen=True)

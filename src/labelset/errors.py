@@ -4,6 +4,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4  # an exception labelset does not raise on purpose
 
 
 class LabelsetError(Exception):

@@ -65,15 +65,11 @@ def threshold_and_reweight(cond: np.ndarray, tau: float, p_neighbor: float) -> n
         raise ConfigError(f"neighbor mass must be in (0, 1), got {p_neighbor}")
     adjacency = np.where(cond >= tau, cond, 0.0)
     np.fill_diagonal(adjacency, 0.0)
-    k = adjacency.shape[0]
-    out = np.zeros_like(adjacency)
     row_sums = adjacency.sum(axis=1)
-    for i in range(k):
-        if row_sums[i] > 0.0:
-            out[i] = p_neighbor * adjacency[i] / row_sums[i]
-            out[i, i] = 1.0 - p_neighbor
-        else:
-            out[i, i] = 1.0
+    has = row_sums > 0.0
+    out = np.zeros_like(adjacency)
+    out[has] = p_neighbor * adjacency[has] / row_sums[has, None]
+    np.fill_diagonal(out, np.where(has, 1.0 - p_neighbor, 1.0))
     return out
 
 

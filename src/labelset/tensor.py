@@ -6,10 +6,11 @@ eagerly on numpy arrays and record themselves on a global tape, and
 also fixes the order in which gradients accumulate, which keeps repeated runs
 with identical seeds bit-identical.
 
-One backward pass per forward pass: intermediate gradients are not cleared
-between calls, so build a fresh expression (or ``reset_tape``) before
-differentiating again.  Leaf gradients accumulate until ``zero_grad``-style
-clearing by the optimizer.
+A recorded node holds a gradient only from the moment one reaches it until
+``backward`` has passed it on to the node's parents, so ``backward`` runs
+exactly the nodes the loss depends on and may be called again on the same
+tape.  Leaves (tensors created with ``requires_grad=True``) keep a gradient
+buffer from creation, and it accumulates until the optimizer clears it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 class Tensor:
     """A dense float64 array with an optional same-shape gradient accumulator."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_tape_index")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -37,7 +38,6 @@ class Tensor:
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
-        self._tape_index = -1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,7 +110,6 @@ class Tape:
         return len(self.nodes)
 
     def append(self, node: Tensor) -> None:
-        node._tape_index = len(self.nodes)
         self.nodes.append(node)
 
     def reset(self) -> None:
@@ -149,11 +148,10 @@ def as_tensor(value) -> Tensor:
 
 
 def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    # only a node with a parent that requires grad reaches the tape, so the
-    # backward of a single-input op may write its parent's grad unchecked
-    tracked = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=tracked)
-    if tracked:
+    # a tracked output gets its gradient buffer when a gradient reaches it
+    out = Tensor(out_data)
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
         _TAPE.append(out)
@@ -170,29 +168,38 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """``t``'s gradient, created as zeros when the first gradient arrives."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
+
+
+def _accumulate(t: Tensor, delta) -> None:
+    # zeros then ``+=`` (not a copy of ``delta``) keeps the buffer's memory
+    # layout, and with it the bits of later reductions over the gradient
+    if t.requires_grad:
+        buffer = _grad_buffer(t)
+        buffer += delta
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(ancestor) into every reachable requires_grad tensor.
+    """Accumulate d(loss)/d(ancestor) into every requires_grad ancestor.
 
     The loss must be a scalar produced by a recorded operation.  Adjoints are
     replayed in reverse tape order, so every node's gradient is complete
-    before its own backward runs.
+    before its own backward runs; a node runs only if a gradient reached it,
+    and its gradient is dropped once passed on to its parents.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractError("backward expects a scalar loss tensor")
     if loss._backward_fn is None:
         raise ContractError("loss is not on the active tape (constant, or computed under no_grad)")
-    reachable = {id(loss)}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in reachable:
-                reachable.add(id(parent))
-                stack.append(parent)
-    loss.grad[...] = 1.0
-    for node in reversed(_TAPE.nodes[: loss._tape_index + 1]):
-        if node._backward_fn is not None and id(node) in reachable:
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(_TAPE.nodes):
+        if node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +211,8 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _record(a.data + b.data, (a, b), backward_fn)
 
@@ -216,10 +221,8 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
-        if b.requires_grad:
-            b.grad -= _unbroadcast(g, b.data.shape)
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, -_unbroadcast(g, b.data.shape))
 
     return _record(a.data - b.data, (a, b), backward_fn)
 
@@ -228,10 +231,8 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(a.data * b.data, (a, b), backward_fn)
 
@@ -240,7 +241,7 @@ def neg(a) -> Tensor:
     a = as_tensor(a)
 
     def backward_fn(g):
-        a.grad -= g
+        _accumulate(a, -g)
 
     return _record(-a.data, (a,), backward_fn)
 
@@ -259,10 +260,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul cannot broadcast shapes {a.shape} and {b.shape}") from exc
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _record(out, (a, b), backward_fn)
 
@@ -280,7 +279,7 @@ def softmax(x) -> Tensor:
 
     def backward_fn(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        x.grad += (g - inner) * y
+        _accumulate(x, (g - inner) * y)
 
     return _record(y, (x,), backward_fn)
 
@@ -290,7 +289,7 @@ def log(x) -> Tensor:
     out = np.log(x.data)
 
     def backward_fn(g):
-        x.grad += g / x.data
+        _accumulate(x, g / x.data)
 
     return _record(out, (x,), backward_fn)
 
@@ -302,7 +301,7 @@ def sqrt_clamped(x, floor: float = 1e-12) -> Tensor:
     y = np.sqrt(x.data)
 
     def backward_fn(g):
-        x.grad += g / (2.0 * np.sqrt(np.maximum(x.data, floor)))
+        _accumulate(x, g / (2.0 * np.sqrt(np.maximum(x.data, floor))))
 
     return _record(y, (x,), backward_fn)
 
@@ -311,7 +310,7 @@ def relu(x) -> Tensor:
     x = as_tensor(x)
 
     def backward_fn(g):
-        x.grad += g * (x.data > 0.0)
+        _accumulate(x, g * (x.data > 0.0))
 
     return _record(np.maximum(x.data, 0.0), (x,), backward_fn)
 
@@ -320,7 +319,7 @@ def leaky_relu(x, slope: float = 0.01) -> Tensor:
     x = as_tensor(x)
 
     def backward_fn(g):
-        x.grad += g * np.where(x.data > 0.0, 1.0, slope)
+        _accumulate(x, g * np.where(x.data > 0.0, 1.0, slope))
 
     return _record(np.where(x.data > 0.0, x.data, slope * x.data), (x,), backward_fn)
 
@@ -332,7 +331,7 @@ def gelu(x) -> Tensor:
 
     def backward_fn(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        x.grad += g * (cdf + x.data * pdf)
+        _accumulate(x, g * (cdf + x.data * pdf))
 
     return _record(x.data * cdf, (x,), backward_fn)
 
@@ -348,15 +347,13 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     width = x.shape[-1]
 
     def backward_fn(g):
-        if gamma.requires_grad:
-            gamma.grad += (g * xhat).reshape(-1, width).sum(axis=0)
-        if beta.requires_grad:
-            beta.grad += g.reshape(-1, width).sum(axis=0)
+        _accumulate(gamma, (g * xhat).reshape(-1, width).sum(axis=0))
+        _accumulate(beta, g.reshape(-1, width).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data
             term1 = dxhat.mean(axis=-1, keepdims=True)
             term2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x.grad += (dxhat - term1 - xhat * term2) * inv_std
+            _accumulate(x, (dxhat - term1 - xhat * term2) * inv_std)
 
     return _record(out, (x, gamma, beta), backward_fn)
 
@@ -370,7 +367,7 @@ def embedding(table, ids) -> Tensor:
     out = table.data[ids]
 
     def backward_fn(g):
-        np.add.at(table.grad, ids, g)
+        np.add.at(_grad_buffer(table), ids, g)
 
     return _record(out, (table,), backward_fn)
 
@@ -389,7 +386,7 @@ def gather_rc(x, rows, cols) -> Tensor:
     out = x.data[rows, cols]
 
     def backward_fn(g):
-        np.add.at(x.grad, (rows, cols), g)
+        np.add.at(_grad_buffer(x), (rows, cols), g)
 
     return _record(out, (x,), backward_fn)
 
@@ -406,7 +403,7 @@ def _reduce(x, axis, keepdims, mean: bool) -> Tensor:
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
-        x.grad += np.broadcast_to(gg, x.data.shape) / scale if mean else np.broadcast_to(gg, x.data.shape)
+        _accumulate(x, np.broadcast_to(gg, x.data.shape) / scale if mean else np.broadcast_to(gg, x.data.shape))
 
     return _record(out, (x,), backward_fn)
 
@@ -421,7 +418,7 @@ def fsum(x) -> Tensor:
     out = np.float64(math.fsum(x.data.ravel()))
 
     def backward_fn(g):
-        x.grad += np.broadcast_to(g, x.data.shape)
+        _accumulate(x, np.broadcast_to(g, x.data.shape))
 
     return _record(out, (x,), backward_fn)
 
@@ -437,8 +434,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def backward_fn(g):
         moved = np.moveaxis(g, axis, 0)
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.grad += np.moveaxis(moved[start:stop], 0, axis)
+            _accumulate(t, np.moveaxis(moved[start:stop], 0, axis))
 
     return _record(out, tuple(tensors), backward_fn)
 
@@ -448,7 +444,7 @@ def reshape(x, shape) -> Tensor:
     original = x.data.shape
 
     def backward_fn(g):
-        x.grad += g.reshape(original)
+        _accumulate(x, g.reshape(original))
 
     return _record(x.data.reshape(shape), (x,), backward_fn)
 
@@ -460,7 +456,7 @@ def transpose(x, axes=None) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward_fn(g):
-        x.grad += np.transpose(g, inverse)
+        _accumulate(x, np.transpose(g, inverse))
 
     return _record(np.transpose(x.data, axes), (x,), backward_fn)
 
@@ -475,6 +471,6 @@ def bce_with_logits(logits, targets) -> Tensor:
     out = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
 
     def backward_fn(g):
-        logits.grad += g * (expit(z) - targets)
+        _accumulate(logits, g * (expit(z) - targets))
 
     return _record(out, (logits,), backward_fn)

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .data import Corpus, Dataset, batch_iterator
 from .diversity import total_loss
-from .errors import TrainingDiverged
+from .errors import NumericDomainError, TrainingDiverged
 from .matching import pad_gold
 from .metrics import MetricAccumulator
 from .model import Model, RunConfig, build_model, save_checkpoint
@@ -107,8 +107,9 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
     """Optimize the model, tracking the best validation micro-F1.
 
     Writes the best checkpoint and a JSONL epoch log under ``out_dir`` when
-    given.  A non-finite batch loss aborts with the best checkpoint already
-    on disk.
+    given.  A non-finite batch loss, or NaN/Inf met anywhere in an epoch's
+    training or validation, aborts with ``TrainingDiverged`` and the best
+    checkpoint already on disk.
     """
     config = model.config
     shuffle_rng = np.random.default_rng(config.seed + 1)
@@ -123,23 +124,27 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
     try:
         for epoch in range(1, config.epochs + 1):
             epoch_losses = []
-            for batch in batch_iterator(corpus.train, config.batch_size,
-                                        rng=shuffle_rng, clip=model.encoder.clip):
+            try:
+                for batch in batch_iterator(corpus.train, config.batch_size,
+                                            rng=shuffle_rng, clip=model.encoder.clip):
+                    T.reset_tape()
+                    queries = model.queries() if model.bce is None else None
+                    loss = batch_loss(model, batch, queries, dropout_rng, train=True)
+                    value = float(loss.data)
+                    if not np.isfinite(value):
+                        raise NumericDomainError("non-finite loss")
+                    optimizer.zero_grad()
+                    T.backward(loss)
+                    optimizer.step()
+                    epoch_losses.append(value)
                 T.reset_tape()
-                queries = model.queries() if model.bce is None else None
-                loss = batch_loss(model, batch, queries, dropout_rng, train=True)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    kept = (f"best checkpoint is from epoch {result.best_epoch}"
-                            if result.best_epoch > 0 else "no checkpoint was saved")
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}; {kept}")
-                optimizer.zero_grad()
-                T.backward(loss)
-                optimizer.step()
-                epoch_losses.append(value)
-            T.reset_tape()
-            valid_report = evaluate(model, corpus.valid)
+                valid_report = evaluate(model, corpus.valid)
+            except NumericDomainError as exc:
+                # parameters blown up by an update reach softmax or matching
+                # as NaN/Inf before any loss is non-finite
+                kept = (f"best checkpoint is from epoch {result.best_epoch}"
+                        if result.best_epoch > 0 else "no checkpoint was saved")
+                raise TrainingDiverged(f"{exc} at epoch {epoch}; {kept}") from exc
             record = EpochRecord(epoch=epoch,
                                  train_loss=float(np.mean(epoch_losses)),
                                  valid_f1=valid_report["f1"],

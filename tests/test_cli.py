@@ -8,7 +8,7 @@ import pytest
 
 from labelset.cli import main
 from labelset.data import SyntheticSpec, generate_synthetic, write_jsonl
-from labelset.errors import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
+from labelset.errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,17 @@ class TestExitCodes:
         cfg = tmp_path / "c.json"
         write_config(cfg, corpus_dir, out_dir=str(tmp_path / "out"))
         assert main(["graph", "--config", str(cfg), "--tau", "7.0"]) == EXIT_CONFIG
+
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        import labelset.cli as cli
+
+        def broken(args, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_graph", broken)
+        assert main(["graph"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 class TestGraphCommand:
@@ -255,6 +266,18 @@ class TestTrainEvalPredict:
         assert main(["predict", "--checkpoint", str(checkpoint),
                      "--input", str(inputs), "--output", str(outputs)]) == EXIT_OK
         assert outputs.read_text() == ""
+
+    @pytest.mark.parametrize("flags", [["--config", "/nonexistent/config.json"],
+                                       ["--tau", "7"]])
+    def test_predict_rejects_bad_settings(self, trained, tmp_path, flags):
+        out, _cfg = trained
+        inputs = tmp_path / "in.jsonl"
+        inputs.write_text(json.dumps({"text": "trig0"}) + "\n")
+        outputs = tmp_path / "out.jsonl"
+        code = main(["predict", *flags, "--checkpoint", str(out / "artifacts" / "best.npz"),
+                     "--input", str(inputs), "--output", str(outputs)])
+        assert code == EXIT_CONFIG
+        assert not outputs.exists()
 
 
 class TestAblateCommand:

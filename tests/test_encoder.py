@@ -1,4 +1,4 @@
-"""Tokenizer, vocabulary file format, and encoder contracts."""
+"""Tokenizer, vocabulary, and encoder contracts."""
 
 import numpy as np
 import numpy.testing as npt

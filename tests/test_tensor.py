@@ -172,10 +172,11 @@ class TestTapeDiscipline:
         z = y + x
         loss = z.sum()
         tape = T.active_tape()
-        for node in tape.nodes:
+        position = {id(node): i for i, node in enumerate(tape.nodes)}
+        for i, node in enumerate(tape.nodes):
             for parent in node._parents:
-                if parent._tape_index >= 0:
-                    assert parent._tape_index < node._tape_index
+                if id(parent) in position:
+                    assert position[id(parent)] < i
         assert loss is tape.nodes[-1]
 
     def test_shared_subexpression_accumulates(self):
@@ -209,6 +210,29 @@ class TestTapeDiscipline:
         _unused = y * 5.0
         T.backward((x * 3.0).sum())
         npt.assert_array_equal(y.grad, [0.0])
+
+    def test_second_backward_adds_leaf_gradient_once_more(self):
+        x = T.Tensor([1.0, -2.0], requires_grad=True)
+        loss = (x * 2.0).sum()
+        T.backward(loss)
+        T.backward(loss)
+        npt.assert_array_equal(x.grad, [4.0, 4.0])
+
+    def test_no_node_holds_a_gradient_after_backward(self):
+        x = T.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        w = T.Tensor([[0.5], [-1.0]], requires_grad=True)
+        T.backward(T.softmax(T.gelu(x @ w) + x).sum())
+        assert all(node.grad is None for node in T.active_tape().nodes)
+
+    def test_nodes_after_the_loss_never_run(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        late = T.Tensor([3.0], requires_grad=True)
+        loss = (x * x).sum()
+        after = loss * late
+        T.backward(loss)
+        npt.assert_array_equal(x.grad, [2.0, 4.0])
+        npt.assert_array_equal(late.grad, [0.0])
+        assert after.grad is None
 
 
 class TestShapeContracts:

@@ -9,7 +9,7 @@ import pytest
 
 import labelset.tensor as T
 from labelset.data import SyntheticSpec, synthetic_corpus
-from labelset.errors import TrainingDiverged
+from labelset.errors import NumericDomainError, TrainingDiverged
 from labelset.model import RunConfig, build_model, load_checkpoint
 from labelset.training import Adam, evaluate, run_training, train
 
@@ -213,6 +213,17 @@ class TestTrainingLoop:
         )
         with pytest.raises(TrainingDiverged):
             train(model, corpus)
+
+    def test_divergence_through_the_parameters(self, tmp_path):
+        # a huge step makes the parameters non-finite; softmax meets the
+        # NaN/Inf before any loss does
+        corpus = tiny_corpus()
+        model = build_model(tiny_config(epochs=1, learning_rate=1e300), corpus)
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingDiverged, match="at epoch 1; no checkpoint was saved") as info:
+            train(model, corpus, out_dir=str(tmp_path))
+        assert isinstance(info.value.__cause__, NumericDomainError)
+        assert not (tmp_path / "best.npz").exists()
 
 
 class TestEvaluate:
