@@ -205,10 +205,9 @@ def cmd_predict(args, config) -> int:
     from .data import read_jsonl
 
     records, _ = read_jsonl(args.input, require_labels=False)
+    preds = model.predict_many([model.token_vocab.encode(record.text) for record in records])
     with open(args.output, "w", encoding="utf-8") as fh:
-        for record in records:
-            tokens = model.token_vocab.encode(record.text)
-            pred = model.predict(tokens)
+        for record, pred in zip(records, preds):
             names = model.label_vocab.decode(pred)
             fh.write(json.dumps({"text": record.text, "predicted_labels": names}) + "\n")
     print(f"wrote {len(records)} predictions to {args.output}")

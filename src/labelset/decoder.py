@@ -1,11 +1,12 @@
 """Non-autoregressive set decoder and the independent-sigmoid baseline head.
 
-The decoder receives m query embeddings and the encoded sentence, runs them
-through transformer blocks (self-attention across queries, cross-attention
-into the sentence), and reads out one probability distribution over the K
-labels plus a reserved no-label class per query, all in a single parallel
-pass.  Queries carry no positional encoding, so permuting them permutes the
-outputs and nothing else.
+The decoder receives m query embeddings and the encoded sentence (or a
+batch of them, which the queries broadcast against), runs them through
+transformer blocks (self-attention across queries, cross-attention into the
+sentence), and reads out one probability distribution over the K labels plus
+a reserved no-label class per query, all in a single parallel pass.  Queries
+carry no positional encoding, so permuting them permutes the outputs and
+nothing else.
 """
 
 from __future__ import annotations
@@ -42,26 +43,26 @@ class DecoderConfig:
 
 @dataclass
 class PredictionSet:
-    """m rows of label probabilities, one per query slot."""
+    """m rows of label probabilities, one per query slot (per sentence)."""
 
-    distributions: T.Tensor  # (m, K+1)
+    distributions: T.Tensor  # (..., m, K+1)
 
     def __post_init__(self):
         data = self.distributions.data
-        if data.ndim != 2:
-            raise ContractError(f"prediction set must be a matrix, got shape {data.shape}")
+        if data.ndim < 2:
+            raise ContractError(f"prediction set needs (..., m, K+1) rows, got shape {data.shape}")
         if (data <= 0.0).any():
             raise ContractError("prediction rows must be strictly positive")
-        if np.abs(data.sum(axis=1) - 1.0).max() > 1e-12:
+        if np.abs(data.sum(axis=-1) - 1.0).max() > 1e-12:
             raise ContractError("prediction rows must each sum to 1")
 
     @property
     def num_queries(self) -> int:
-        return self.distributions.shape[0]
+        return self.distributions.shape[-2]
 
     @property
     def null_index(self) -> int:
-        return self.distributions.shape[1] - NULL_OFFSET
+        return self.distributions.shape[-1] - NULL_OFFSET
 
 
 class SetDecoder(nn.Module):
@@ -90,10 +91,18 @@ class SetDecoder(nn.Module):
         return PredictionSet(distributions=T.softmax(logits))
 
 
-def predict_labels(ps: PredictionSet) -> set[int]:
-    """Argmax each row, drop rows that chose the no-label class, deduplicate."""
-    winners = ps.distributions.data.argmax(axis=1)
-    return {int(w) for w in winners if w != ps.null_index}
+def label_sets(chosen: np.ndarray):
+    """The indices of the true entries of a (..., K) boolean array: a set
+    for one row, else a list of sets in row order."""
+    sets = [set(np.flatnonzero(row).tolist()) for row in chosen.reshape(-1, chosen.shape[-1])]
+    return sets if chosen.ndim > 1 else sets[0]
+
+
+def predict_labels(ps: PredictionSet):
+    """Argmax each row, drop rows that chose the no-label class, deduplicate
+    (per sentence, as ``label_sets``)."""
+    winners = ps.distributions.data.argmax(axis=-1)
+    return label_sets((winners[..., None] == np.arange(ps.null_index)).any(axis=-2))
 
 
 class BceHead(nn.Module):
@@ -105,17 +114,23 @@ class BceHead(nn.Module):
         self.readout = self.add_child("readout", nn.Linear(rng, d_model, num_labels))
 
     def logits(self, memory: EncodedSentence) -> T.Tensor:
-        cls_state = T.embedding(memory.hidden, np.array([0]))
-        return self.readout(cls_state).reshape(self.num_labels)
+        cls_state = T.gather(memory.hidden, (Ellipsis, [0], slice(None)))
+        return self.readout(cls_state).reshape(memory.hidden.shape[:-2] + (self.num_labels,))
 
-    def loss(self, memory: EncodedSentence, gold: set | tuple | list) -> T.Tensor:
-        multi_hot = np.zeros(self.num_labels)
-        for label in gold:
-            if not 0 <= label < self.num_labels:
-                raise ContractError(f"gold label {label} out of range for K={self.num_labels}")
-            multi_hot[label] = 1.0
-        return T.bce_with_logits(self.logits(memory), multi_hot).mean()
+    def loss(self, memory: EncodedSentence, gold) -> T.Tensor:
+        """Mean binary cross entropy per sentence of ``gold`` label collections
+        (one collection for an unbatched memory)."""
+        lead = memory.hidden.shape[:-2]
+        rows = list(gold) if lead else [gold]
+        multi_hot = np.zeros((len(rows), self.num_labels))
+        for r, labels in enumerate(rows):
+            for label in labels:
+                if not 0 <= label < self.num_labels:
+                    raise ContractError(f"gold label {label} out of range for K={self.num_labels}")
+                multi_hot[r, label] = 1.0
+        targets = multi_hot.reshape(lead + (self.num_labels,))
+        return T.bce_with_logits(self.logits(memory), targets).mean(axis=-1)
 
-    def predict(self, memory: EncodedSentence) -> set[int]:
-        probs = expit(self.logits(memory).data)
-        return {int(i) for i in np.nonzero(probs >= 0.5)[0]}
+    def predict(self, memory: EncodedSentence):
+        """Labels whose probability reaches 0.5 (per sentence, as ``label_sets``)."""
+        return label_sets(expit(self.logits(memory).data) >= 0.5)

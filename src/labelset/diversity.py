@@ -36,19 +36,20 @@ def bhattacharyya_pair(p, q) -> T.Tensor:
 
 
 def bc_penalty(ps: PredictionSet) -> T.Tensor:
-    """Sum of pairwise overlap coefficients over all m(m-1)/2 slot pairs."""
+    """Sum of pairwise overlap coefficients over all m(m-1)/2 slot pairs,
+    one sum per sentence of a batch."""
     m = ps.num_queries
     if m < 2:
-        return T.Tensor(0.0)
+        return T.Tensor(np.zeros(ps.distributions.shape[:-2]))
     left, right = np.triu_indices(m, k=1)
-    rows_left = T.embedding(ps.distributions, left)
-    rows_right = T.embedding(ps.distributions, right)
-    return T.fsum(T.sqrt_clamped(rows_left * rows_right, SQRT_FLOOR))
+    rows_left = T.gather(ps.distributions, (Ellipsis, left, slice(None)))
+    rows_right = T.gather(ps.distributions, (Ellipsis, right, slice(None)))
+    return T.fsum(T.sqrt_clamped(rows_left * rows_right, SQRT_FLOOR), axis=(-2, -1))
 
 
 def total_loss(gold: np.ndarray, ps: PredictionSet, bc_weight: float,
                cost_mode: str = "prob") -> T.Tensor:
-    """Assignment loss plus the weighted overlap penalty.
+    """Assignment loss plus the weighted overlap penalty, per sentence.
 
     A weight of exactly 0 skips the penalty term entirely, so disabling it
     and weighting it by zero run the identical code path.

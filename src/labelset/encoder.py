@@ -1,9 +1,12 @@
 """Sentence encoder: whitespace tokenizer plus a small trainable transformer.
 
-The encoder maps a token-id sequence (CLS ... SEP, right-padded) to one
-contextual vector per position.  Padding positions are masked out of
-attention with a large negative bias, which drives their weights to exactly
-zero, so padded and unpadded encodings of the same sentence agree bitwise.
+The encoder maps a token-id sequence (CLS ... SEP, right-padded), or a
+(B, L) batch of them, to one contextual vector per position.  Padding
+positions are masked out of attention with a large negative bias, which
+drives their weights to exactly zero, so padding never changes what a real
+position attends to.  It can still change the last bit: the wider matrix
+products sum their terms in another order.  Rows batched with others of
+their own length, unpadded, encode bit for bit as they do alone.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ class EncoderConfig:
 
 @dataclass
 class EncodedSentence:
-    hidden: T.Tensor          # (l, d_model)
-    attention_mask: np.ndarray  # (l,) of {0., 1.}
+    hidden: T.Tensor          # (..., l, d_model)
+    attention_mask: np.ndarray  # (..., l) of {0., 1.}
 
 
 class TransformerEncoder(nn.Module):
@@ -108,29 +111,33 @@ class TransformerEncoder(nn.Module):
         self.final_norm = self.add_child("final_norm", nn.LayerNorm(d))
 
     def clip(self, tokens: np.ndarray) -> np.ndarray:
-        """Right-truncate over-length sequences, keeping CLS and SEP.
+        """Right-truncate an over-length sequence, keeping CLS and SEP.
 
         Counts each clipped sentence so silent shortening never happens."""
         tokens = np.asarray(tokens, dtype=np.intp)
-        if tokens.shape[0] <= self.config.max_len:
+        if tokens.shape[-1] <= self.config.max_len:
             return tokens
+        if tokens.ndim != 1:
+            raise ContractError("clip batch rows before padding them to one width")
         self.truncation_count += 1
         return np.concatenate([tokens[: self.config.max_len - 1], tokens[-1:]])
 
     def encode(self, tokens: np.ndarray, attention_mask: np.ndarray | None = None,
                rng: np.random.Generator | None = None, train: bool = False) -> EncodedSentence:
+        """Encode an (L,) token row or a (B, L) batch with its (B, L) mask."""
         tokens = self.clip(tokens)
-        length = tokens.shape[0]
+        length = tokens.shape[-1]
         if attention_mask is None:
-            attention_mask = np.ones(length, dtype=np.float64)
+            attention_mask = np.ones(tokens.shape, dtype=np.float64)
         else:
-            attention_mask = np.asarray(attention_mask, dtype=np.float64)[:length]
+            attention_mask = np.asarray(attention_mask, dtype=np.float64)[..., :length]
         if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
             raise VocabularyError(f"token id out of range for vocabulary of {self.config.vocab_size}")
-        real = int(attention_mask.sum())
-        if real < 2 or tokens[0] != CLS or tokens[real - 1] != SEP:
+        real = attention_mask.sum(axis=-1).astype(np.intp)
+        if (real < 2).any() or (tokens[..., 0] != CLS).any() or \
+                (np.take_along_axis(tokens, real[..., None] - 1, axis=-1) != SEP).any():
             raise ContractError("encoder input must start with CLS and end with SEP")
-        x = T.embedding(self.token_embed, tokens) + T.embedding(self.pos_embed, np.arange(length))
+        x = T.gather(self.token_embed, tokens) + T.gather(self.pos_embed, np.arange(length))
         bias = nn.mask_to_bias(attention_mask)
         for layer in self.layers:
             x = layer(x, self_bias=bias, rng=rng, train=train)

@@ -152,9 +152,16 @@ def set_loss(gold: np.ndarray, ps: PredictionSet, cost_mode: str = "prob") -> T.
 
     All m slots contribute, padded ones through their no-label probability.
     The assignment is computed on current forward values and then frozen, so
-    gradients flow only through the picked log-probabilities.
+    gradients flow only through the picked log-probabilities.  A batch with
+    a gold row per sentence gives one loss per sentence.
     """
     probs = ps.distributions
-    assignment = hungarian(match_cost(gold, probs.data, cost_mode))
-    picked = T.gather_rc(probs, assignment.slot_for_gold, np.asarray(gold, dtype=np.intp))
-    return -(T.log(picked).sum())
+    gold = np.asarray(gold, dtype=np.intp)
+    if gold.shape != probs.shape[:-1]:
+        raise ContractError(f"gold shaped {gold.shape} does not match predictions {probs.shape}")
+    rows = probs.data.reshape((-1,) + probs.shape[-2:])
+    slots = np.stack([hungarian(match_cost(g, p, cost_mode)).slot_for_gold
+                      for g, p in zip(gold.reshape(-1, gold.shape[-1]), rows)]).reshape(gold.shape)
+    batch_index = tuple(np.indices(gold.shape, sparse=True)[:-1])
+    picked = T.gather(probs, batch_index + (slots, gold))
+    return -(T.log(picked).sum(axis=-1))

@@ -79,19 +79,20 @@ class LayerNorm(Module):
 
 
 def mask_to_bias(mask: np.ndarray) -> np.ndarray:
-    """Turn a {0,1} key mask of shape (L,) into an additive attention bias
-    of shape (1, 1, L): 0 on real positions, MASK_BIAS on padding."""
+    """Turn a {0,1} key mask of shape (..., L) into an additive attention
+    bias of shape (..., 1, 1, L): 0 on real positions, MASK_BIAS on padding."""
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.ndim != 1:
-        raise ContractError(f"key mask must be 1-D, got shape {mask.shape}")
-    return ((1.0 - mask) * MASK_BIAS)[None, None, :]
+    if mask.ndim < 1:
+        raise ContractError(f"key mask needs a key axis, got shape {mask.shape}")
+    return ((1.0 - mask) * MASK_BIAS)[..., None, None, :]
 
 
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with heads split by reshape.
 
-    Inputs are unbatched (L, d_model) matrices; an optional additive bias
-    broadcastable to (heads, L_q, L_k) carries padding masks.
+    Inputs are (..., L, d_model); leading batch axes broadcast, so one
+    (L_q, d_model) query can attend into a batch of memories.  An optional
+    additive bias broadcastable to (..., heads, L_q, L_k) masks padding.
     """
 
     def __init__(self, rng: np.random.Generator, d_model: int, num_heads: int):
@@ -107,21 +108,21 @@ class MultiHeadAttention(Module):
         self.proj_v = self.add_child("proj_v", Linear(rng, d_model, d_model))
         self.proj_out = self.add_child("proj_out", Linear(rng, d_model, d_model))
 
-    def _split(self, x: T.Tensor, length: int) -> T.Tensor:
-        # (L, d) -> (heads, L, head_dim)
-        return x.reshape(length, self.num_heads, self.head_dim).transpose((1, 0, 2))
+    def _split(self, x: T.Tensor) -> T.Tensor:
+        # (..., L, d) -> (..., heads, L, head_dim)
+        split = x.reshape(x.shape[:-1] + (self.num_heads, self.head_dim))
+        return split.swapaxes(-3, -2)
 
     def __call__(self, query: T.Tensor, memory: T.Tensor, bias: np.ndarray | None = None) -> T.Tensor:
-        lq, lk = query.shape[0], memory.shape[0]
-        q = self._split(self.proj_q(query), lq)
-        k = self._split(self.proj_k(memory), lk)
-        v = self._split(self.proj_v(memory), lk)
-        scores = (q @ k.transpose((0, 2, 1))) * self.scale
+        q = self._split(self.proj_q(query))
+        k = self._split(self.proj_k(memory))
+        v = self._split(self.proj_v(memory))
+        scores = (q @ k.swapaxes(-2, -1)) * self.scale
         if bias is not None:
             scores = scores + T.Tensor(bias)
         weights = T.softmax(scores)
-        mixed = (weights @ v).transpose((1, 0, 2)).reshape(lq, self.d_model)
-        return self.proj_out(mixed)
+        mixed = (weights @ v).swapaxes(-3, -2)
+        return self.proj_out(mixed.reshape(mixed.shape[:-2] + (self.d_model,)))
 
 
 class FeedForward(Module):
@@ -144,13 +145,15 @@ class Dropout:
             raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
-    def __call__(self, x: T.Tensor, rng: np.random.Generator | None, train: bool) -> T.Tensor:
+    def __call__(self, x: T.Tensor, rng: np.random.Generator | None, train: bool,
+                 rows: tuple[int, ...] = ()) -> T.Tensor:
+        """``rows``: batch axes the mask spans even where x lacks them."""
         if not train or self.rate == 0.0:
             return x
         if rng is None:
             raise ContractError("dropout in training mode needs a Generator")
         keep = 1.0 - self.rate
-        mask = (rng.random(x.shape) < keep) / keep
+        mask = (rng.random(rows + x.shape[-2:] if rows else x.shape) < keep) / keep
         return x * T.Tensor(mask)
 
 
@@ -174,11 +177,14 @@ class TransformerLayer(Module):
     def __call__(self, x: T.Tensor, memory: T.Tensor | None = None,
                  self_bias: np.ndarray | None = None, memory_bias: np.ndarray | None = None,
                  rng: np.random.Generator | None = None, train: bool = False) -> T.Tensor:
+        if self.cross and memory is None:
+            raise ContractError("cross-attention layer called without memory")
+        # the decoder's (m, d) queries are shared until cross-attention; masks are not
+        rows = () if memory is None else memory.shape[:-2]
         normed = self.norm_self(x)
-        x = x + self.drop(self.attn_self(normed, normed, bias=self_bias), rng, train)
+        x = x + self.drop(self.attn_self(normed, normed, bias=self_bias), rng, train, rows)
         if self.cross:
-            if memory is None:
-                raise ContractError("cross-attention layer called without memory")
-            x = x + self.drop(self.attn_cross(self.norm_cross(x), memory, bias=memory_bias), rng, train)
-        x = x + self.drop(self.ffn(self.norm_ffn(x)), rng, train)
+            x = x + self.drop(self.attn_cross(self.norm_cross(x), memory, bias=memory_bias),
+                              rng, train, rows)
+        x = x + self.drop(self.ffn(self.norm_ffn(x)), rng, train, rows)
         return x

@@ -95,6 +95,9 @@ class Tensor:
     def transpose(self, axes=None) -> "Tensor":
         return transpose(self, axes)
 
+    def swapaxes(self, i: int, j: int) -> "Tensor":
+        return swapaxes(self, i, j)
+
 
 class Tape:
     """Ordered record of executed differentiable operations.
@@ -186,15 +189,16 @@ def _accumulate(t: Tensor, delta) -> None:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(ancestor) into every requires_grad ancestor.
 
-    The loss must be a scalar produced by a recorded operation.  Adjoints are
+    The loss must be a scalar recorded on the active tape.  Adjoints are
     replayed in reverse tape order, so every node's gradient is complete
     before its own backward runs; a node runs only if a gradient reached it,
     and its gradient is dropped once passed on to its parents.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractError("backward expects a scalar loss tensor")
-    if loss._backward_fn is None:
-        raise ContractError("loss is not on the active tape (constant, or computed under no_grad)")
+    if loss._backward_fn is None or not any(node is loss for node in reversed(_TAPE.nodes)):
+        raise ContractError("loss is not on the active tape (constant, computed under no_grad, "
+                            "or recorded before the tape was reset)")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(_TAPE.nodes):
         if node.grad is not None:
@@ -358,35 +362,18 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _record(out, (x, gamma, beta), backward_fn)
 
 
-def embedding(table, ids) -> Tensor:
-    """Row lookup with a scatter-add adjoint.  ``ids`` may have any shape."""
-    table = as_tensor(table)
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ContractError(f"embedding index out of range for table with {table.shape[0]} rows")
-    out = table.data[ids]
-
-    def backward_fn(g):
-        np.add.at(_grad_buffer(table), ids, g)
-
-    return _record(out, (table,), backward_fn)
-
-
-def gather_rc(x, rows, cols) -> Tensor:
-    """Pick x[rows[i], cols[i]] for each i, returning a vector."""
+def gather(x, index) -> Tensor:
+    """``x[index]`` for a numpy index (an int array, or a tuple of int arrays,
+    slices and Ellipsis) with a scatter-add adjoint: embedding lookups, and
+    picking entries or rows out of batched matrices."""
     x = as_tensor(x)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if rows.shape != cols.shape or rows.ndim != 1:
-        raise ContractError("gather_rc needs matching 1-D row and column index vectors")
-    if x.ndim != 2:
-        raise ContractError(f"gather_rc needs a matrix, got shape {x.shape}")
-    if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0] or cols.min() < 0 or cols.max() >= x.shape[1]):
-        raise ContractError(f"gather_rc index out of range for shape {x.shape}")
-    out = x.data[rows, cols]
+    try:
+        out = x.data[index]
+    except IndexError as exc:
+        raise ContractError(f"gather index out of range for shape {x.shape}") from exc
 
     def backward_fn(g):
-        np.add.at(_grad_buffer(x), (rows, cols), g)
+        np.add.at(_grad_buffer(x), index, g)
 
     return _record(out, (x,), backward_fn)
 
@@ -408,35 +395,24 @@ def _reduce(x, axis, keepdims, mean: bool) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def fsum(x) -> Tensor:
-    """Correctly rounded total of all elements.
+def fsum(x, axis=None) -> Tensor:
+    """Correctly rounded totals over ``axis`` (an int or a tuple of ints; all
+    axes when None).
 
-    Unlike ``sum``, the result does not depend on element order, so
+    Unlike ``sum``, a total does not depend on element order, so
     reductions over mathematically order-free collections (e.g. unordered
     pairs) stay bit-stable under permutation of the inputs."""
     x = as_tensor(x)
-    out = np.float64(math.fsum(x.data.ravel()))
+    axes = tuple(range(x.ndim)) if axis is None else tuple(np.arange(x.ndim)[np.atleast_1d(axis)])
+    kept = [a for a in range(x.ndim) if a not in axes]
+    shape = tuple(x.shape[a] for a in kept)
+    rows = np.transpose(x.data, kept + list(axes)).reshape(math.prod(shape), -1)
+    out = np.array([math.fsum(row) for row in rows]).reshape(shape)
 
     def backward_fn(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape))
+        _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape))
 
     return _record(out, (x,), backward_fn)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractError("concat needs at least one tensor")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        moved = np.moveaxis(g, axis, 0)
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            _accumulate(t, np.moveaxis(moved[start:stop], 0, axis))
-
-    return _record(out, tuple(tensors), backward_fn)
 
 
 def reshape(x, shape) -> Tensor:
@@ -459,6 +435,15 @@ def transpose(x, axes=None) -> Tensor:
         _accumulate(x, np.transpose(g, inverse))
 
     return _record(np.transpose(x.data, axes), (x,), backward_fn)
+
+
+def swapaxes(x, i: int, j: int) -> Tensor:
+    x = as_tensor(x)
+
+    def backward_fn(g):
+        _accumulate(x, np.swapaxes(g, i, j))
+
+    return _record(np.swapaxes(x.data, i, j), (x,), backward_fn)
 
 
 def bce_with_logits(logits, targets) -> Tensor:

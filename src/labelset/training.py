@@ -63,27 +63,23 @@ class Adam:
 def evaluate(model: Model, dataset: Dataset) -> dict[str, float]:
     """Micro metrics of the model's predictions over one split."""
     acc = MetricAccumulator(model.label_vocab.size)
-    for batch in batch_iterator(dataset, 1, clip=model.encoder.clip):
-        sample = batch.samples[0]
-        pred = model.predict(batch.tokens[0], batch.mask[0])
+    preds = model.predict_many([sample.tokens for sample in dataset])
+    for sample, pred in zip(dataset, preds):
         acc.accumulate(set(sample.labels), pred)
     return acc.finalize()
 
 
 def batch_loss(model: Model, batch, queries, dropout_rng, train: bool) -> T.Tensor:
-    """Mean per-sample objective over one padded batch, on the active tape."""
+    """Mean per-sample objective over one padded batch, on the active tape:
+    one encoder and one decoder pass for the whole batch, matched per sample."""
     config = model.config
-    pieces = []
-    for row, sample in enumerate(batch.samples):
-        memory = model.encode(batch.tokens[row], batch.mask[row], rng=dropout_rng, train=train)
-        if model.bce is not None:
-            piece = model.bce.loss(memory, sample.labels)
-        else:
-            ps = model.decode(queries, memory, rng=dropout_rng, train=train)
-            gold = pad_gold(sample.labels, config.num_queries, model.label_vocab.null_index)
-            piece = total_loss(gold, ps, config.effective_bc_weight, config.cost_mode)
-        pieces.append(piece.reshape(1))
-    return T.concat(pieces).mean()
+    memory = model.encode(batch.tokens, batch.mask, rng=dropout_rng, train=train)
+    labels = [sample.labels for sample in batch.samples]
+    if model.bce is not None:
+        return model.bce.loss(memory, labels).mean()
+    ps = model.decode(queries, memory, rng=dropout_rng, train=train)
+    gold = np.stack([pad_gold(l, config.num_queries, model.label_vocab.null_index) for l in labels])
+    return total_loss(gold, ps, config.effective_bc_weight, config.cost_mode).mean()
 
 
 @dataclass

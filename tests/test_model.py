@@ -155,6 +155,49 @@ class TestModelAssembly:
         assert list(got) == sorted(set(got))
         assert all(0 <= l < corpus.label_vocab.size for l in got)
 
+    @pytest.mark.parametrize("head", ["set_prediction", "bce"])
+    def test_rows_batched_by_length_match_predict_bitwise(self, head):
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(head=head), corpus)
+        rows = [sample.tokens for sample in corpus.valid]
+        lengths = sorted({row.shape[0] for row in rows})
+        assert len(lengths) >= 3
+        assert max(sum(r.shape[0] == n for r in rows) for n in lengths) > model.config.batch_size
+        assert model.predict_many(rows) == [model.predict(row) for row in rows]
+        if head == "bce":
+            return
+        with T.no_grad():
+            queries = model.queries()
+            for length in lengths:
+                group = [row for row in rows if row.shape[0] == length]
+                batched = model.decode(queries, model.encode(np.stack(group))).distributions.data
+                for row, probs in zip(group, batched):
+                    alone = model.decode(queries, model.encode(row)).distributions.data
+                    assert probs.tobytes() == alone.tobytes()
+
+    def test_predict_many_clips_and_keeps_order(self, monkeypatch):
+        corpus = tiny_corpus()
+        model = build_model(tiny_config(max_len=5, batch_size=2), corpus)
+        rows = [sample.tokens for sample in corpus.valid]
+        assert any(row.shape[0] > 5 for row in rows)
+        batches = []
+        encode = model.encode
+
+        def recording(tokens, mask=None, **kwargs):
+            batches.append((np.array(tokens), mask))
+            return encode(tokens, mask, **kwargs)
+
+        monkeypatch.setattr(model, "encode", recording)
+        before = model.encoder.truncation_count
+        got = model.predict_many(rows)
+        assert model.encoder.truncation_count - before == sum(row.shape[0] > 5 for row in rows)
+        # unpadded batches of at most batch_size rows, every row once
+        assert all(mask is None and tokens.ndim == 2 and len(tokens) <= 2 and (tokens != 0).all()
+                   for tokens, mask in batches)
+        assert sum(len(tokens) for tokens, _ in batches) == len(rows)
+        assert got == [model.predict(row) for row in rows]
+        assert model.predict_many([]) == []
+
     def test_freeze_encoder_filters_trainables(self):
         corpus = tiny_corpus()
         model = build_model(tiny_config(freeze_encoder=True), corpus)

@@ -117,3 +117,42 @@ def test_head_split_roundtrip_preserves_values():
     x = T.Tensor(rng.standard_normal((5, 6)))
     back = x.reshape(5, 2, 3).transpose((1, 0, 2)).transpose((1, 0, 2)).reshape(5, 6)
     assert back.data.tobytes() == x.data.tobytes()
+
+
+def test_attention_over_a_batch_equals_each_row_alone():
+    # an unbatched query broadcasts against a (B, L, d) memory; rows of the
+    # same length give the bits each row gives alone
+    rng = np.random.default_rng(9)
+    attn = nn.MultiHeadAttention(rng, d_model=8, num_heads=2)
+    query = T.Tensor(rng.standard_normal((3, 8)))
+    memory = T.Tensor(rng.standard_normal((4, 5, 8)))
+    with T.no_grad():
+        batched = attn(query, memory).data
+        alone = [attn(query, T.Tensor(row)).data for row in memory.data]
+    assert batched.shape == (4, 3, 8)
+    for row, expected in zip(batched, alone):
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_mask_to_bias_keeps_batch_axes():
+    bias = nn.mask_to_bias(np.array([[1, 1, 0], [1, 0, 0]]))
+    assert bias.shape == (2, 1, 1, 3)
+    npt.assert_array_equal(bias[1, 0, 0], [0.0, nn.MASK_BIAS, nn.MASK_BIAS])
+    with pytest.raises(ContractError):
+        nn.mask_to_bias(np.array(1.0))
+
+
+def test_dropout_masks_differ_per_batch_row():
+    # the decoder's first self-attention output is one (m, d) matrix shared
+    # by the batch; its dropout mask must still be drawn per batch row
+    rng = np.random.default_rng(10)
+    block = nn.TransformerLayer(rng, d_model=4, num_heads=1, dropout=0.5, cross=True)
+    for silenced in (block.attn_cross.proj_out, block.ffn.contract):
+        silenced.weight.data[...] = 0.0
+        silenced.bias.data[...] = 0.0
+    x = T.Tensor(rng.standard_normal((2, 4)))
+    memory = T.Tensor(rng.standard_normal((2, 3, 4)))
+    with T.no_grad():
+        out = block(x, memory=memory, rng=np.random.default_rng(11), train=True).data
+    assert out.shape == (2, 2, 4)
+    assert out[0].tobytes() != out[1].tobytes()

@@ -87,14 +87,14 @@ class TestPrimitiveGradients:
         table = leaf(rng, 6, 3)
         ids = np.array([[0, 2, 2], [5, 0, 1]])
         probe = T.Tensor(rng.standard_normal((2, 3, 3)))
-        check_gradients(lambda ls: (T.embedding(ls[0], ids) * probe).sum(), [table])
+        check_gradients(lambda ls: (T.gather(ls[0], ids) * probe).sum(), [table])
 
     def test_gather_rc(self):
         rng = np.random.default_rng(9)
         x = leaf(rng, 4, 5)
         rows = np.array([0, 1, 3, 1])
         cols = np.array([2, 2, 4, 0])
-        check_gradients(lambda ls: T.gather_rc(ls[0], rows, cols).sum(), [x])
+        check_gradients(lambda ls: T.gather(ls[0], (rows, cols)).sum(), [x])
 
     def test_sum_mean_axes(self):
         rng = np.random.default_rng(10)
@@ -104,14 +104,25 @@ class TestPrimitiveGradients:
         check_gradients(lambda ls: (ls[0].mean(axis=1)).sum(), [x])
         check_gradients(lambda ls: ls[0].mean(), [x])
 
-    def test_concat_reshape_transpose(self):
+    def test_reshape_transpose_swapaxes(self):
         rng = np.random.default_rng(11)
         a = leaf(rng, 2, 3)
         b = leaf(rng, 1, 3)
-        probe = T.Tensor(rng.standard_normal((3, 3)))
-        check_gradients(lambda ls: (T.concat([ls[0], ls[1]], axis=0) * probe).sum(), [a, b])
+        c = leaf(rng, 2, 3, 4)
+        probe = T.Tensor(rng.standard_normal((2, 4, 3)))
         check_gradients(lambda ls: (ls[1] @ ls[0].reshape(3, 2)).sum(), [a, b])
         check_gradients(lambda ls: (ls[1] @ ls[0].transpose()).sum(), [a, b])
+        check_gradients(lambda ls: (ls[0].swapaxes(-2, -1) * probe).sum(), [c])
+
+    def test_fsum_over_trailing_axes(self):
+        rng = np.random.default_rng(15)
+        x = leaf(rng, 2, 3, 4)
+        with T.no_grad():
+            totals = T.fsum(x, axis=(-2, -1)).data
+        assert totals.shape == (2,)
+        npt.assert_allclose(totals, x.data.sum(axis=(1, 2)), rtol=0, atol=1e-12)
+        probe = T.Tensor(rng.standard_normal(3))
+        check_gradients(lambda ls: (T.fsum(ls[0], axis=(0, 2)) * probe).sum(), [x])
 
     def test_bce_with_logits(self):
         rng = np.random.default_rng(13)
@@ -126,7 +137,7 @@ class TestPrimitiveGradients:
             rows = np.arange(3)
             cols = rng.integers(0, 5, size=3)
             check_gradients(
-                lambda ls: -(T.log(T.gather_rc(T.softmax(ls[0]), rows, cols)).sum()),
+                lambda ls: -(T.log(T.gather(T.softmax(ls[0]), (rows, cols))).sum()),
                 [logits],
             )
 
@@ -204,6 +215,14 @@ class TestTapeDiscipline:
         with pytest.raises(ContractError):
             T.backward(T.Tensor(3.0))
 
+    def test_backward_rejects_loss_from_a_reset_tape(self):
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        loss = (x * 2.0).sum()
+        T.reset_tape()
+        with pytest.raises(ContractError, match="not on the active tape"):
+            T.backward(loss)
+        npt.assert_array_equal(x.grad, np.zeros(3))
+
     def test_unrelated_branch_untouched(self):
         x = T.Tensor([1.0], requires_grad=True)
         y = T.Tensor([1.0], requires_grad=True)
@@ -250,7 +269,7 @@ class TestShapeContracts:
 
     def test_embedding_range_check(self):
         with pytest.raises(ContractError):
-            T.embedding(T.Tensor(np.ones((3, 2)), requires_grad=True), np.array([3]))
+            T.gather(T.Tensor(np.ones((3, 2)), requires_grad=True), np.array([3]))
 
 
 class TestDeterminism:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import labelset.tensor as T
-from labelset.data import SyntheticSpec, synthetic_corpus
+from helpers import check_gradients
+from labelset.data import Batch, RawRecord, SyntheticSpec, batch_iterator, build_corpus, pad_batch, synthetic_corpus
 from labelset.errors import NumericDomainError, TrainingDiverged
 from labelset.model import RunConfig, build_model, load_checkpoint
-from labelset.training import Adam, evaluate, run_training, train
+from labelset.training import Adam, batch_loss, evaluate, run_training, train
 
 
 def tiny_corpus(seed=0):
@@ -133,6 +134,16 @@ class TestTrainingLoop:
         assert [r.valid_f1 for r in hist_a] == [r.valid_f1 for r in hist_b]
         assert rep_a == rep_b
 
+    def test_two_seeded_runs_with_dropout_bit_identical(self):
+        corpus = tiny_corpus()
+        runs = []
+        for _ in range(2):
+            model, result = run_training(tiny_config(epochs=2, dropout=0.1), corpus)
+            params = {n: p.data.tobytes() for n, p in model.named_parameters().items()}
+            runs.append((result.history, params))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+
     def test_different_seeds_differ(self):
         corpus = tiny_corpus()
         _, res_a = run_training(tiny_config(epochs=1, seed=0), corpus)
@@ -243,3 +254,53 @@ class TestEvaluate:
         rep = evaluate(model, corpus.valid)
         assert set(rep) == {"f1", "precision", "recall", "hamming_loss"}
         assert all(0.0 <= rep[k] <= 1.0 for k in rep)
+
+
+class TestBatchLoss:
+    def test_gradients_of_a_padded_batch(self):
+        # three sentences of different lengths, so two of them are padded;
+        # GCN queries and the overlap penalty both on
+        records = [
+            RawRecord("alpha beta", ("red", "green")),
+            RawRecord("alpha gamma beta delta", ("red", "blue")),
+            RawRecord("epsilon", ("yellow",)),
+            RawRecord("gamma delta", ("blue", "green")),
+        ]
+        corpus = build_corpus(records, records[:2], [])
+        config = RunConfig(d_model=8, encoder_layers=1, encoder_heads=2, decoder_layers=1,
+                           decoder_heads=2, gcn_layers=1, num_queries=3, max_len=8,
+                           bc_weight=0.1, seed=3)
+        model = build_model(config, corpus)
+        assert model.gcn is not None and config.effective_bc_weight > 0.0
+        samples = corpus.train.samples[:3]
+        tokens, mask = pad_batch([s.tokens for s in samples])
+        assert sorted(mask.sum(axis=1)) == [3.0, 4.0, 6.0]
+        batch = Batch(samples=samples, tokens=tokens, mask=mask)
+        params = model.named_parameters()
+        leaves = [params[name] for name in sorted(params)]
+        check_gradients(lambda _: batch_loss(model, batch, model.queries(), None, train=False),
+                        leaves, tol=1e-3, step=1e-5)
+
+    def test_batch_loss_is_the_mean_of_per_sample_losses(self):
+        corpus = tiny_corpus()
+        model = build_model(tiny_config(), corpus)
+        batch = next(batch_iterator(corpus.train, 4, clip=model.encoder.clip))
+        with T.no_grad():
+            whole = float(batch_loss(model, batch, model.queries(), None, train=False).data)
+            alone = []
+            for row, sample in enumerate(batch.samples):
+                one = Batch([sample], batch.tokens[row:row + 1], batch.mask[row:row + 1])
+                alone.append(float(batch_loss(model, one, model.queries(), None, train=False).data))
+        assert whole == pytest.approx(np.mean(alone), rel=1e-12)
+
+    def test_default_batch_stays_within_40_tape_nodes_per_sample(self):
+        # one encoder and one decoder pass per batch, not one per sample
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(), corpus)
+        batch = next(batch_iterator(corpus.train, 8, clip=model.encoder.clip))
+        assert len(batch.samples) == 8
+        T.reset_tape()
+        batch_loss(model, batch, model.queries(), np.random.default_rng(0), train=True)
+        nodes = len(T.active_tape())
+        T.reset_tape()
+        assert nodes / 8 <= 40, f"{nodes} tape nodes for 8 samples"
