@@ -3,13 +3,15 @@
 Gold label sets are padded with the no-label class up to the slot count m.
 The cost of putting gold entry i on slot j is the negated probability that
 slot j gives gold label i, zero for padded entries.  A minimum-cost
-permutation is found in O(m^3); the loss then sums negated log-probabilities
-along that permutation, every slot included, with the permutation held
-constant during backpropagation.
+permutation is found with one assignment solve over the real gold rows; the
+loss then sums negated log-probabilities along that permutation, every slot
+included, with the permutation held constant during backpropagation.
 
 Ties between equally cheap permutations are broken toward the
 lexicographically smallest one, so padded entries (whose rows are all zero
-cost) land on slots deterministically.
+cost) land on slots deterministically.  A minimum-cycle certificate on the
+row-exchange graph shows when the solve's optimum is unique; only a near-tie
+falls back to a row-by-row refinement that re-solves sub-assignments.
 """
 
 from __future__ import annotations
@@ -94,15 +96,49 @@ def _solve_min_cost(cost: np.ndarray) -> float:
 def hungarian(cost: np.ndarray) -> Assignment:
     """Minimum-total-cost permutation; lexicographically smallest on ties.
 
-    Built on an O(m^3) assignment solve, then one pass over the rows that
-    fixes each row to its smallest column index still compatible with the
-    optimal total (within a tolerance that only absorbs float noise).
+    One rectangular assignment solve places the rows that are not all zero
+    (the no-label padding rows are interchangeable).  Any other placement
+    differs from it by cycles in the row-exchange graph, each weighing at
+    least the graph's minimum cycle; if that minimum clears twice the tie
+    band, the optimum is unique up to the zero rows, which then take the
+    unused columns in ascending order.  Otherwise ``_refine`` breaks the
+    near-tie.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ContractError(f"cost matrix must be square, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise NumericDomainError("cost matrix contains NaN or Inf")
+    m = cost.shape[0]
+    zero = ~cost.any(axis=1)
+    real = np.flatnonzero(~zero)
+    chosen = np.empty(m, dtype=np.intp)
+    unused = np.ones(m, dtype=bool)
+    if real.size:
+        k, c = real.size, cost[real]
+        _, sigma = linear_sum_assignment(c)
+        unused[sigma] = False
+        # exchange graph over the real rows plus one node for the unused
+        # columns: i -> j takes sigma(j), i -> free the cheapest unused column
+        # (a lower bound), free -> j releases sigma(j) at no cost
+        own = c[np.arange(k), sigma]
+        dist = np.zeros((k + 1, k + 1))
+        dist[:k, :k] = c[:, sigma] - own[:, None]
+        dist[:k, k] = c[:, unused].min(axis=1) - own if unused.any() else np.inf
+        np.fill_diagonal(dist, np.inf)
+        for v in range(k + 1):
+            np.minimum(dist, dist[:, v : v + 1] + dist[v], out=dist)
+        if dist.diagonal().min() <= 2 * _tie_band(float(own.sum())):
+            return _refine(cost)
+        chosen[real] = sigma
+    chosen[zero] = np.flatnonzero(unused)
+    return Assignment(slot_for_gold=chosen, total_cost=float(cost[np.arange(m), chosen].sum()))
+
+
+def _refine(cost: np.ndarray) -> Assignment:
+    """Lexicographically smallest optimum by one pass over the rows that
+    fixes each row to its smallest column index still compatible with the
+    optimal total (within a tolerance that only absorbs float noise)."""
     m = cost.shape[0]
     best_total = _solve_min_cost(cost)
     tolerance = _tie_band(best_total)

@@ -92,9 +92,6 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
-
     def swapaxes(self, i: int, j: int) -> "Tensor":
         return swapaxes(self, i, j)
 
@@ -423,18 +420,6 @@ def reshape(x, shape) -> Tensor:
         _accumulate(x, g.reshape(original))
 
     return _record(x.data.reshape(shape), (x,), backward_fn)
-
-
-def transpose(x, axes=None) -> Tensor:
-    x = as_tensor(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
-    inverse = np.argsort(axes)
-
-    def backward_fn(g):
-        _accumulate(x, np.transpose(g, inverse))
-
-    return _record(np.transpose(x.data, axes), (x,), backward_fn)
 
 
 def swapaxes(x, i: int, j: int) -> Tensor:

@@ -135,6 +135,95 @@ class TestHungarian:
             matching.exhaustive_assignment(np.zeros((9, 9)))
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts assignment solves; the certified path makes one per match."""
+    count = [0]
+    solve = matching.linear_sum_assignment
+
+    def counted(cost):
+        count[0] += 1
+        return solve(cost)
+
+    monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+    return count
+
+
+def assert_same_assignment(a, b):
+    npt.assert_array_equal(a.slot_for_gold, b.slot_for_gold)
+    assert a.total_cost == b.total_cost
+
+
+class TestTieCertificate:
+    def test_uniform_probabilities_fall_back(self, solves):
+        probs = np.full((5, 7), 1 / 7)
+        cost = matching.match_cost(matching.pad_gold([0, 2, 4], 5, null_index=6), probs)
+        result = matching.hungarian(cost)
+        assert solves[0] > 1
+        assert_same_assignment(result, matching.exhaustive_assignment(cost))
+
+    def test_identical_slot_columns_fall_back(self, solves):
+        probs = normalized_rows(np.random.default_rng(8), 4, 6)
+        probs[3] = probs[1]
+        cost = matching.match_cost(np.array([0, 1, 3, 4]), probs)
+        result = matching.hungarian(cost)
+        assert solves[0] > 1
+        assert_same_assignment(result, matching.exhaustive_assignment(cost))
+
+    @pytest.mark.parametrize("bands, certified", [(1.5, False), (2.5, True)])
+    def test_gap_inside_twice_the_band_falls_back(self, solves, bands, certified):
+        # the swap [1, 0, 2] wins by `bands` tie bands over the identity;
+        # a win by less than two bands is refined, a wider one is certified
+        gap = bands * matching._tie_band(2.0)
+        cost = np.array([[1.0 + gap, 1.0, 5.0],
+                         [1.0, 1.0, 5.0],
+                         [0.0, 0.0, 0.0]])
+        result = matching.hungarian(cost)
+        assert (solves[0] == 1) == certified
+        npt.assert_array_equal(result.slot_for_gold, [1, 0, 2])
+        assert_same_assignment(result, matching.exhaustive_assignment(cost))
+
+    def test_empty_gold_is_identity_without_solves(self, solves):
+        probs = normalized_rows(np.random.default_rng(9), 6, 4)
+        cost = matching.match_cost(np.full(6, 3), probs)
+        result = matching.hungarian(cost)
+        assert solves[0] == 0
+        npt.assert_array_equal(result.slot_for_gold, np.arange(6))
+        assert_same_assignment(result, matching.exhaustive_assignment(cost))
+
+    def test_agrees_with_refinement_past_the_oracle_cap(self, monkeypatch):
+        # m up to 32 and K up to 64, both cost modes; every other cost gets
+        # an exact tie: two equal slot rows, or two gold labels with equal
+        # probabilities on every slot
+        rng = np.random.default_rng(10)
+        refined = [0]
+        refine = matching._refine
+
+        def counted(cost):
+            refined[0] += 1
+            return refine(cost)
+
+        monkeypatch.setattr(matching, "_refine", counted)
+        trials = 504
+        for trial in range(trials):
+            m = (8, 16, 32)[trial % 3]
+            num_labels = int(rng.integers(2, 65))
+            logits = rng.standard_normal((m, num_labels + 1)) * rng.choice([1.0, 4.0])
+            probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+            labels = rng.choice(num_labels, size=int(rng.integers(0, min(m, num_labels) + 1)),
+                                replace=False)
+            if trial % 2 and labels.size >= 2 and rng.random() < 0.5:
+                probs[:, labels[1]] = probs[:, labels[0]]
+            elif trial % 2:
+                a, b = rng.choice(m, size=2, replace=False)
+                probs[b] = probs[a]
+            cost_mode = matching.COST_MODES[(trial // 2) % 2]
+            cost = matching.match_cost(matching.pad_gold(labels, m, num_labels), probs, cost_mode)
+            assert_same_assignment(matching.hungarian(cost), refine(cost))
+        # both paths ran: ties were refined, the rest certified
+        assert 0 < refined[0] < trials
+
+
 class TestSetLoss:
     def test_single_null_slot_with_confident_null(self):
         eps = 1e-13
@@ -186,3 +275,14 @@ class TestSetLoss:
             return matching.set_loss(gold, ps)
 
         check_gradients(build, [logits])
+
+    def test_batch_of_k64_matches_solves_once_per_sample(self, solves):
+        # tripwire: the row-by-row refinement made 1,387 solves here
+        rng = np.random.default_rng(11)
+        batch, m, num_labels = 8, 32, 64
+        logits = T.Tensor(rng.standard_normal((batch, m, num_labels + 1)))
+        gold = np.stack([matching.pad_gold(rng.choice(num_labels, size=int(rng.integers(0, m + 1)),
+                                                      replace=False), m, num_labels)
+                         for _ in range(batch)])
+        matching.set_loss(gold, PredictionSet(T.softmax(logits)))
+        assert solves[0] <= batch

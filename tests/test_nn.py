@@ -115,7 +115,7 @@ def test_head_split_roundtrip_preserves_values():
     # reshaping to heads and back is lossless on the value path
     rng = np.random.default_rng(8)
     x = T.Tensor(rng.standard_normal((5, 6)))
-    back = x.reshape(5, 2, 3).transpose((1, 0, 2)).transpose((1, 0, 2)).reshape(5, 6)
+    back = x.reshape(5, 2, 3).swapaxes(0, 1).swapaxes(0, 1).reshape(5, 6)
     assert back.data.tobytes() == x.data.tobytes()
 
 

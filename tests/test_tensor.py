@@ -111,7 +111,7 @@ class TestPrimitiveGradients:
         c = leaf(rng, 2, 3, 4)
         probe = T.Tensor(rng.standard_normal((2, 4, 3)))
         check_gradients(lambda ls: (ls[1] @ ls[0].reshape(3, 2)).sum(), [a, b])
-        check_gradients(lambda ls: (ls[1] @ ls[0].transpose()).sum(), [a, b])
+        check_gradients(lambda ls: (ls[1] @ ls[0].swapaxes(0, 1)).sum(), [a, b])
         check_gradients(lambda ls: (ls[0].swapaxes(-2, -1) * probe).sum(), [c])
 
     def test_fsum_over_trailing_axes(self):
