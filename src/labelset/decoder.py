@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from . import nn, tensor as T
 from .encoder import EncodedSentence
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericDomainError
 
 NULL_OFFSET = 1  # the no-label class sits at index K, one past the labels
 
@@ -87,8 +87,11 @@ class SetDecoder(nn.Module):
         x = queries
         for layer in self.layers:
             x = layer(x, memory=memory.hidden, memory_bias=memory_bias, rng=rng, train=train)
-        logits = self.head(self.final_norm(x))
-        return PredictionSet(distributions=T.softmax(logits))
+        probs = T.softmax(self.head(self.final_norm(x)))
+        if not (probs.data > 0.0).all():
+            # a logit gap above about 745 underflows exp to an exact 0
+            raise NumericDomainError("softmax underflowed to 0 in a slot distribution")
+        return PredictionSet(distributions=probs)
 
 
 def label_sets(chosen: np.ndarray):

@@ -6,9 +6,23 @@ identical, 0 when their supports are disjoint.  Summing it over all
 unordered distinct pairs of the m slot distributions and weighting it into
 the objective presses the slots toward covering different labels, trading
 precision for recall.
+
+The coefficient is an inner product of square roots, BC(p, q) = <√p, √q>,
+so the sum over pairs factors per class c through S_c = Σ_i √p_ic:
+
+    Σ_{i<j} BC(p_i, p_j) = ½ · Σ_c [S_c² − Σ_i fl(√p_ic)²],
+
+which costs O(mK) instead of O(m²K).  ``bc_penalty`` takes S_c and the
+squared term with correctly rounded sums over the slots (``math.fsum``), so
+no permutation of the slots changes a bit; it subtracts the rounded squares
+rather than Σ_i p_ic, so a class that only one slot supports adds exactly 0;
+and it clamps each class term at 0, where near-disjoint rows could
+otherwise round the difference below zero.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,18 +51,40 @@ def bhattacharyya_pair(p, q) -> T.Tensor:
 
 def bc_penalty(ps: PredictionSet) -> T.Tensor:
     """Sum of pairwise overlap coefficients over all m(m-1)/2 slot pairs,
-    one sum per sentence of a batch."""
-    m = ps.num_queries
-    if m < 2:
-        return T.Tensor(np.zeros(ps.distributions.shape[:-2]))
-    left, right = np.triu_indices(m, k=1)
-    rows_left = T.gather(ps.distributions, (Ellipsis, left, slice(None)))
-    rows_right = T.gather(ps.distributions, (Ellipsis, right, slice(None)))
-    return T.fsum(T.sqrt_clamped(rows_left * rows_right, SQRT_FLOOR), axis=(-2, -1))
+    one sum per sentence of a batch, recorded as one tape node.
+
+    The value is ½ · Σ_c max(S_c² − Σ_i fl(√p_ic)², 0) with S_c = Σ_i √p_ic,
+    both sums over slots correctly rounded, so it is exactly non-negative
+    and bit-stable under any permutation of the slots.  The gradient is that
+    of the unclamped sum, S_c / (2·√max(p_ic, SQRT_FLOOR)) − ½; the clamp
+    only removes rounding below zero.
+    """
+    probs = ps.distributions
+    if ps.num_queries < 2:
+        return T.Tensor(np.zeros(probs.shape[:-2]))
+    roots = np.sqrt(probs.data)
+    sums, squares = T.fsum(np.stack([roots, roots * roots]), axis=-2).data
+    per_class = np.maximum(sums * sums - squares, 0.0)
+    value = 0.5 * T.fsum(per_class, axis=-1).data
+
+    def vjp(g):
+        slope = sums[..., None, :] / (2.0 * np.sqrt(np.maximum(probs.data, SQRT_FLOOR))) - 0.5
+        return g[..., None, None] * slope
+
+    return T.custom_op(probs, value, vjp)
 
 
-def total_loss(gold: np.ndarray, ps: PredictionSet, bc_weight: float,
-               cost_mode: str = "prob") -> T.Tensor:
+class Objective(NamedTuple):
+    """Per-sentence objective ``total = set_loss + bc_weight · penalty`` and
+    its two terms; ``penalty`` is None when the weight is 0."""
+
+    total: T.Tensor
+    set_loss: T.Tensor
+    penalty: T.Tensor | None
+
+
+def objective(gold: np.ndarray, ps: PredictionSet, bc_weight: float,
+              cost_mode: str = "prob") -> Objective:
     """Assignment loss plus the weighted overlap penalty, per sentence.
 
     A weight of exactly 0 skips the penalty term entirely, so disabling it
@@ -58,5 +94,12 @@ def total_loss(gold: np.ndarray, ps: PredictionSet, bc_weight: float,
         raise ContractError(f"penalty weight must be nonnegative, got {bc_weight}")
     loss = set_loss(gold, ps, cost_mode)
     if bc_weight == 0.0:
-        return loss
-    return loss + bc_penalty(ps) * bc_weight
+        return Objective(loss, loss, None)
+    penalty = bc_penalty(ps)
+    return Objective(loss + penalty * bc_weight, loss, penalty)
+
+
+def total_loss(gold: np.ndarray, ps: PredictionSet, bc_weight: float,
+               cost_mode: str = "prob") -> T.Tensor:
+    """The ``total`` of ``objective``."""
+    return objective(gold, ps, bc_weight, cost_mode).total

@@ -404,12 +404,23 @@ def fsum(x, axis=None) -> Tensor:
     kept = [a for a in range(x.ndim) if a not in axes]
     shape = tuple(x.shape[a] for a in kept)
     rows = np.transpose(x.data, kept + list(axes)).reshape(math.prod(shape), -1)
-    out = np.array([math.fsum(row) for row in rows]).reshape(shape)
+    out = np.array([math.fsum(row) for row in rows.tolist()]).reshape(shape)
 
     def backward_fn(g):
         _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape))
 
     return _record(out, (x,), backward_fn)
+
+
+def custom_op(x, out_data, vjp) -> Tensor:
+    """Record one node for a composite computed outside the tape: its value
+    ``out_data`` and ``vjp``, which maps the output's gradient to ``x``'s."""
+    x = as_tensor(x)
+
+    def backward_fn(g):
+        _accumulate(x, vjp(g))
+
+    return _record(out_data, (x,), backward_fn)
 
 
 def reshape(x, shape) -> Tensor:

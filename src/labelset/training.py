@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as T
 from .data import Corpus, Dataset, batch_iterator
-from .diversity import total_loss
+from .diversity import objective
 from .errors import NumericDomainError, TrainingDiverged
 from .matching import pad_gold
 from .metrics import MetricAccumulator
@@ -69,23 +70,38 @@ def evaluate(model: Model, dataset: Dataset) -> dict[str, float]:
     return acc.finalize()
 
 
-def batch_loss(model: Model, batch, queries, dropout_rng, train: bool) -> T.Tensor:
+class BatchLoss(NamedTuple):
+    """One batch's mean objective on the tape, and the forward means of its
+    two terms: the set loss (the binary cross entropy for the bce head) and
+    the unweighted overlap penalty (0.0 when it is off)."""
+
+    total: T.Tensor
+    set_loss: float
+    bc_penalty: float
+
+
+def batch_loss(model: Model, batch, queries, dropout_rng, train: bool) -> BatchLoss:
     """Mean per-sample objective over one padded batch, on the active tape:
     one encoder and one decoder pass for the whole batch, matched per sample."""
     config = model.config
     memory = model.encode(batch.tokens, batch.mask, rng=dropout_rng, train=train)
     labels = [sample.labels for sample in batch.samples]
     if model.bce is not None:
-        return model.bce.loss(memory, labels).mean()
+        total = model.bce.loss(memory, labels).mean()
+        return BatchLoss(total, float(total.data), 0.0)
     ps = model.decode(queries, memory, rng=dropout_rng, train=train)
     gold = np.stack([pad_gold(l, config.num_queries, model.label_vocab.null_index) for l in labels])
-    return total_loss(gold, ps, config.effective_bc_weight, config.cost_mode).mean()
+    terms = objective(gold, ps, config.effective_bc_weight, config.cost_mode)
+    penalty = 0.0 if terms.penalty is None else float(terms.penalty.data.mean())
+    return BatchLoss(terms.total.mean(), float(terms.set_loss.data.mean()), penalty)
 
 
 @dataclass
 class EpochRecord:
     epoch: int
     train_loss: float
+    set_loss: float     # train_loss = set_loss + bc_weight * bc_penalty, up to rounding
+    bc_penalty: float
     valid_f1: float
     valid_hamming: float
 
@@ -103,9 +119,9 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
     """Optimize the model, tracking the best validation micro-F1.
 
     Writes the best checkpoint and a JSONL epoch log under ``out_dir`` when
-    given.  A non-finite batch loss, or NaN/Inf met anywhere in an epoch's
-    training or validation, aborts with ``TrainingDiverged`` and the best
-    checkpoint already on disk.
+    given.  A non-finite batch loss, NaN/Inf met anywhere in an epoch's
+    training or validation, or a slot probability that underflows to 0,
+    aborts with ``TrainingDiverged`` and the best checkpoint already on disk.
     """
     config = model.config
     shuffle_rng = np.random.default_rng(config.seed + 1)
@@ -126,13 +142,13 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
                     T.reset_tape()
                     queries = model.queries() if model.bce is None else None
                     loss = batch_loss(model, batch, queries, dropout_rng, train=True)
-                    value = float(loss.data)
+                    value = float(loss.total.data)
                     if not np.isfinite(value):
                         raise NumericDomainError("non-finite loss")
                     optimizer.zero_grad()
-                    T.backward(loss)
+                    T.backward(loss.total)
                     optimizer.step()
-                    epoch_losses.append(value)
+                    epoch_losses.append((value, loss.set_loss, loss.bc_penalty))
                 T.reset_tape()
                 valid_report = evaluate(model, corpus.valid)
             except NumericDomainError as exc:
@@ -141,8 +157,11 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
                 kept = (f"best checkpoint is from epoch {result.best_epoch}"
                         if result.best_epoch > 0 else "no checkpoint was saved")
                 raise TrainingDiverged(f"{exc} at epoch {epoch}; {kept}") from exc
+            train_loss, set_part, penalty = (float(np.mean(column)) for column in zip(*epoch_losses))
             record = EpochRecord(epoch=epoch,
-                                 train_loss=float(np.mean(epoch_losses)),
+                                 train_loss=train_loss,
+                                 set_loss=set_part,
+                                 bc_penalty=penalty,
                                  valid_f1=valid_report["f1"],
                                  valid_hamming=valid_report["hamming_loss"])
             result.history.append(record)

@@ -7,7 +7,7 @@ import pytest
 from labelset import decoder as dec
 from labelset import tensor as T
 from labelset.encoder import CLS, SEP, EncoderConfig, TransformerEncoder
-from labelset.errors import ConfigError, ContractError
+from labelset.errors import ConfigError, ContractError, NumericDomainError
 
 
 @pytest.fixture(autouse=True)
@@ -72,6 +72,14 @@ class TestDecode:
             a = model.decode(queries, memory).distributions.data
             b = model.decode(queries, memory).distributions.data
         assert a.tobytes() == b.tobytes()
+
+    def test_underflowed_row_is_a_numeric_domain_error(self):
+        # a logit gap of 1000 makes softmax return an exact 0
+        model = make_decoder()
+        model.head.bias.data[-1] = 1000.0
+        queries = T.Tensor(np.random.default_rng(6).standard_normal((3, 8)))
+        with pytest.raises(NumericDomainError, match="underflowed"):
+            model.decode(queries, encoded())
 
 
 class TestPredictionSetValidation:

@@ -12,7 +12,7 @@ from helpers import check_gradients
 from labelset.data import Batch, RawRecord, SyntheticSpec, batch_iterator, build_corpus, pad_batch, synthetic_corpus
 from labelset.errors import NumericDomainError, TrainingDiverged
 from labelset.model import RunConfig, build_model, load_checkpoint
-from labelset.training import Adam, batch_loss, evaluate, run_training, train
+from labelset.training import Adam, BatchLoss, batch_loss, evaluate, run_training, train
 
 
 def tiny_corpus(seed=0):
@@ -110,7 +110,8 @@ class TestTrainingLoop:
         ]
         assert len(on_disk) == 3
         assert on_disk[0]["epoch"] == 1
-        assert set(on_disk[0]) == {"epoch", "train_loss", "valid_f1", "valid_hamming"}
+        assert set(on_disk[0]) == {"epoch", "train_loss", "set_loss", "bc_penalty",
+                                   "valid_f1", "valid_hamming"}
         assert [row["train_loss"] for row in on_disk] == [
             r.train_loss for r in result.history
         ]
@@ -158,6 +159,16 @@ class TestTrainingLoop:
             r.train_loss for r in res_b.history
         ]
 
+    @pytest.mark.parametrize("overrides", [{}, {"bc_weight": 0.5}, {"use_bc": False}, {"head": "bce"}])
+    def test_loss_split_adds_up_to_train_loss(self, overrides):
+        corpus = tiny_corpus()
+        config = tiny_config(**overrides)
+        _, result = run_training(config, corpus)
+        for r in result.history:
+            assert r.set_loss > 0.0
+            assert abs(r.train_loss - (r.set_loss + config.effective_bc_weight * r.bc_penalty)) <= 1e-12
+            assert (r.bc_penalty > 0.0) == (config.effective_bc_weight > 0.0 and config.head != "bce")
+
     def test_bc_weight_changes_loss(self):
         corpus = tiny_corpus()
         _, res_a = run_training(tiny_config(epochs=1, bc_weight=0.0), corpus)
@@ -198,7 +209,7 @@ class TestTrainingLoop:
         def poisoned(model, batch, queries, dropout_rng, train):
             calls["n"] += 1
             if calls["n"] > batches_per_epoch:  # first batch of epoch 2
-                return T.Tensor(np.array(float("nan")))
+                return BatchLoss(T.Tensor(np.array(float("nan"))), float("nan"), 0.0)
             return real(model, batch, queries, dropout_rng, train)
 
         monkeypatch.setattr(training_mod, "batch_loss", poisoned)
@@ -220,7 +231,7 @@ class TestTrainingLoop:
         monkeypatch.setattr(
             training_mod,
             "batch_loss",
-            lambda *a, **k: T.Tensor(np.array(float("inf"))),
+            lambda *a, **k: BatchLoss(T.Tensor(np.array(float("inf"))), float("inf"), 0.0),
         )
         with pytest.raises(TrainingDiverged):
             train(model, corpus)
@@ -232,6 +243,16 @@ class TestTrainingLoop:
         model = build_model(tiny_config(epochs=1, learning_rate=1e300), corpus)
         with np.errstate(all="ignore"), \
                 pytest.raises(TrainingDiverged, match="at epoch 1; no checkpoint was saved") as info:
+            train(model, corpus, out_dir=str(tmp_path))
+        assert isinstance(info.value.__cause__, NumericDomainError)
+        assert not (tmp_path / "best.npz").exists()
+
+    def test_saturated_softmax_ends_as_training_diverged(self, tmp_path):
+        # a logit gap above about 745 underflows a slot probability to 0
+        corpus = tiny_corpus()
+        model = build_model(tiny_config(epochs=1), corpus)
+        model.decoder.head.bias.data[-1] = 1000.0
+        with pytest.raises(TrainingDiverged, match="at epoch 1; no checkpoint was saved") as info:
             train(model, corpus, out_dir=str(tmp_path))
         assert isinstance(info.value.__cause__, NumericDomainError)
         assert not (tmp_path / "best.npz").exists()
@@ -278,7 +299,7 @@ class TestBatchLoss:
         batch = Batch(samples=samples, tokens=tokens, mask=mask)
         params = model.named_parameters()
         leaves = [params[name] for name in sorted(params)]
-        check_gradients(lambda _: batch_loss(model, batch, model.queries(), None, train=False),
+        check_gradients(lambda _: batch_loss(model, batch, model.queries(), None, train=False).total,
                         leaves, tol=1e-3, step=1e-5)
 
     def test_batch_loss_is_the_mean_of_per_sample_losses(self):
@@ -286,11 +307,11 @@ class TestBatchLoss:
         model = build_model(tiny_config(), corpus)
         batch = next(batch_iterator(corpus.train, 4, clip=model.encoder.clip))
         with T.no_grad():
-            whole = float(batch_loss(model, batch, model.queries(), None, train=False).data)
+            whole = float(batch_loss(model, batch, model.queries(), None, train=False).total.data)
             alone = []
             for row, sample in enumerate(batch.samples):
                 one = Batch([sample], batch.tokens[row:row + 1], batch.mask[row:row + 1])
-                alone.append(float(batch_loss(model, one, model.queries(), None, train=False).data))
+                alone.append(float(batch_loss(model, one, model.queries(), None, train=False).total.data))
         assert whole == pytest.approx(np.mean(alone), rel=1e-12)
 
     def test_default_batch_stays_within_40_tape_nodes_per_sample(self):
