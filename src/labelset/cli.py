@@ -108,11 +108,15 @@ def resolve_config(args):
     return RunConfig.from_dict(raw)
 
 
+def write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def echo_config(config, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "config.json"), config.to_dict())
 
 
 def load_splits(config):
@@ -173,6 +177,13 @@ def cmd_train(args, config) -> int:
                           "by validation F1")
     echo_config(config, config.out_dir)
     model, result = run_training(config, corpus, out_dir=config.out_dir, log_stream=sys.stdout)
+    write_json(os.path.join(config.out_dir, "run_summary.json"), {
+        "best_epoch": result.best_epoch,
+        "best_valid_f1": result.best_valid_f1,
+        "corpus_counters": corpus.counters,
+        # records, not encoder.truncation_count, which counts every clip of every pass
+        "truncated_train_records": sum(len(s.tokens) > config.max_len for s in corpus.train),
+    })
     print(f"best valid F1 {result.best_valid_f1:.4f} at epoch {result.best_epoch}")
     print(f"checkpoint: {result.checkpoint_path}")
     return 0
@@ -189,9 +200,10 @@ def cmd_eval(args, config) -> int:
     if path is None:
         raise ConfigError(f"{args.split}_path is required to evaluate that split")
     records, _ = read_jsonl(path)
-    dataset, _dropped = records_to_dataset(records, model.label_vocab, model.token_vocab,
-                                           name=args.split, drop_unseen=True)
+    dataset, dropped = records_to_dataset(records, model.label_vocab, model.token_vocab,
+                                          name=args.split, drop_unseen=True)
     report = evaluate(model, dataset)
+    print(f"dropped {dropped} mentions of labels the model was not trained on")
     print(render_table([(args.split, report)]))
     print(report_json(report))
     return 0
@@ -243,9 +255,7 @@ def cmd_ablate(args, config) -> int:
         rows.append((name, evaluate(model, target)))
     table = render_table(rows)
     print(table)
-    with open(os.path.join(config.out_dir, "ablation.json"), "w", encoding="utf-8") as fh:
-        json.dump({name: report for name, report in rows}, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(config.out_dir, "ablation.json"), dict(rows))
     return 0
 
 

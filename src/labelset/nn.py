@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 MASK_BIAS = -1e9
 
@@ -54,15 +54,11 @@ class Module:
 class Linear(Module):
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int):
         super().__init__()
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = self.register("weight", uniform_init(rng, in_dim, (in_dim, out_dim)))
         self.bias = self.register("bias", uniform_init(rng, in_dim, (out_dim,)))
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(f"linear expected last dim {self.in_dim}, got {x.shape}")
-        return x @ self.weight + self.bias
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -88,7 +84,8 @@ def mask_to_bias(mask: np.ndarray) -> np.ndarray:
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention with heads split by reshape.
+    """Four projections around one ``T.attention`` node, which splits the
+    heads, attends and merges them again.
 
     Inputs are (..., L, d_model); leading batch axes broadcast, so one
     (L_q, d_model) query can attend into a batch of memories.  An optional
@@ -99,30 +96,16 @@ class MultiHeadAttention(Module):
         super().__init__()
         if d_model % num_heads != 0:
             raise ContractError(f"d_model {d_model} not divisible by {num_heads} heads")
-        self.d_model = d_model
         self.num_heads = num_heads
-        self.head_dim = d_model // num_heads
-        self.scale = 1.0 / np.sqrt(self.head_dim)
         self.proj_q = self.add_child("proj_q", Linear(rng, d_model, d_model))
         self.proj_k = self.add_child("proj_k", Linear(rng, d_model, d_model))
         self.proj_v = self.add_child("proj_v", Linear(rng, d_model, d_model))
         self.proj_out = self.add_child("proj_out", Linear(rng, d_model, d_model))
 
-    def _split(self, x: T.Tensor) -> T.Tensor:
-        # (..., L, d) -> (..., heads, L, head_dim)
-        split = x.reshape(x.shape[:-1] + (self.num_heads, self.head_dim))
-        return split.swapaxes(-3, -2)
-
     def __call__(self, query: T.Tensor, memory: T.Tensor, bias: np.ndarray | None = None) -> T.Tensor:
-        q = self._split(self.proj_q(query))
-        k = self._split(self.proj_k(memory))
-        v = self._split(self.proj_v(memory))
-        scores = (q @ k.swapaxes(-2, -1)) * self.scale
-        if bias is not None:
-            scores = scores + T.Tensor(bias)
-        weights = T.softmax(scores)
-        mixed = (weights @ v).swapaxes(-3, -2)
-        return self.proj_out(mixed.reshape(mixed.shape[:-2] + (self.d_model,)))
+        mixed = T.attention(self.proj_q(query), self.proj_k(memory), self.proj_v(memory),
+                            self.num_heads, bias)
+        return self.proj_out(mixed)
 
 
 class FeedForward(Module):

@@ -11,6 +11,10 @@ A recorded node holds a gradient only from the moment one reaches it until
 exactly the nodes the loss depends on and may be called again on the same
 tape.  Leaves (tensors created with ``requires_grad=True``) keep a gradient
 buffer from creation, and it accumulates until the optimizer clears it.
+
+At the model's sizes the cost is per node, not per flop, so ``linear``
+(matrix product plus bias) and ``attention`` (head split, scores, mask,
+softmax, weighted sum, head merge) are fused: one node each.
 """
 
 from __future__ import annotations
@@ -91,9 +95,6 @@ class Tensor:
 
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def swapaxes(self, i: int, j: int) -> "Tensor":
-        return swapaxes(self, i, j)
 
 
 class Tape:
@@ -267,22 +268,76 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), backward_fn)
 
 
+def _row_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a numpy array, with max subtraction."""
+    if not np.isfinite(x).all():
+        raise NumericDomainError("softmax input contains NaN or Inf")
+    exped = np.exp(x - x.max(axis=-1, keepdims=True))
+    return exped / exped.sum(axis=-1, keepdims=True)
+
+
 def softmax(x) -> Tensor:
     """Softmax over the last axis, computed with max subtraction."""
     x = as_tensor(x)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
-    if not np.isfinite(x.data).all():
-        raise NumericDomainError("softmax input contains NaN or Inf")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    exped = np.exp(shifted)
-    y = exped / exped.sum(axis=-1, keepdims=True)
+    y = _row_softmax(x.data)
 
     def backward_fn(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - inner) * y)
+        _accumulate(x, (g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
     return _record(y, (x,), backward_fn)
+
+
+def linear(x, weight, bias) -> Tensor:
+    """``x @ weight + bias`` over the last axis of ``x``: one flat GEMM over
+    all leading axes, recorded as one node."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    d_in, d_out = weight.shape
+    if x.ndim < 1 or x.shape[-1] != d_in:
+        raise ShapeError(f"linear expected last dim {d_in}, got {x.shape}")
+    x2d = x.data.reshape(-1, d_in)
+    out = (x2d @ weight.data + bias.data).reshape(x.shape[:-1] + (d_out,))
+
+    def backward_fn(g):
+        g2d = g.reshape(-1, d_out)
+        _accumulate(weight, x2d.T @ g2d)
+        _accumulate(bias, g2d.sum(axis=0))
+        _accumulate(x, (g2d @ weight.data.T).reshape(x.data.shape))
+
+    return _record(out, (x, weight, bias), backward_fn)
+
+
+def attention(q, k, v, num_heads: int, bias=None) -> Tensor:
+    """Multi-head scaled dot-product attention of (..., L_q, d) queries over
+    (..., L_k, d) keys and values, whose leading axes broadcast, as one node.
+    ``bias`` is a numpy constant broadcastable to (..., heads, L_q, L_k)."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    width = q.shape[-1]
+    if q.ndim < 2 or k.shape != v.shape or k.shape[-1] != width or width % num_heads:
+        raise ShapeError(f"attention cannot split q {q.shape}, k {k.shape}, v {v.shape} into {num_heads} heads")
+    head_dim = width // num_heads
+    scale = 1.0 / np.sqrt(head_dim)
+
+    def split(a):   # (..., L, d) -> (..., heads, L, head_dim)
+        return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, head_dim)), -3, -2)
+
+    def merge(a):   # the inverse of split
+        return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], width))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+    weights = _row_softmax(scores if bias is None else scores + bias)
+
+    def backward_fn(g):
+        gh = split(g)
+        d_weights = np.matmul(gh, np.swapaxes(vh, -1, -2))
+        d_scores = (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * weights * scale
+        _accumulate(q, _unbroadcast(merge(np.matmul(d_scores, kh)), q.data.shape))
+        _accumulate(k, _unbroadcast(merge(np.matmul(np.swapaxes(d_scores, -1, -2), qh)), k.data.shape))
+        _accumulate(v, _unbroadcast(merge(np.matmul(np.swapaxes(weights, -1, -2), gh)), v.data.shape))
+
+    return _record(merge(np.matmul(weights, vh)), (q, k, v), backward_fn)
 
 
 def log(x) -> Tensor:
@@ -431,15 +486,6 @@ def reshape(x, shape) -> Tensor:
         _accumulate(x, g.reshape(original))
 
     return _record(x.data.reshape(shape), (x,), backward_fn)
-
-
-def swapaxes(x, i: int, j: int) -> Tensor:
-    x = as_tensor(x)
-
-    def backward_fn(g):
-        _accumulate(x, np.swapaxes(g, i, j))
-
-    return _record(np.swapaxes(x.data, i, j), (x,), backward_fn)
 
 
 def bce_with_logits(logits, targets) -> Tensor:

@@ -210,6 +210,44 @@ class TestTrainEvalPredict:
         rows = [json.loads(l) for l in (art / "train_log.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in rows] == [1, 2]
 
+    def test_train_writes_run_summary(self, tmp_path):
+        # one duplicate label mention, one unseen label in each of valid and
+        # test, and two training records longer than max_len = 5 tokens
+        # (CLS and SEP included)
+        rows = {
+            "train": [("trig0 a", ["label0", "label0"]), ("trig1 a b c", ["label1"]),
+                      ("trig0 a b c d", ["label0", "label1"]), ("trig1", ["label1"])],
+            "valid": [("trig0 a", ["label0", "label9"])],
+            "test": [("trig1 b", ["label1", "label8"])],
+        }
+        for split, records in rows.items():
+            (tmp_path / f"{split}.jsonl").write_text("".join(
+                json.dumps({"text": text, "labels": labels}) + "\n" for text, labels in records))
+        cfg = tmp_path / "c.json"
+        out = tmp_path / "out"
+        write_config(cfg, tmp_path, out_dir=str(out), max_len=5, epochs=2)
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        summary = json.loads((out / "run_summary.json").read_text())
+        log = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
+        best = max(log, key=lambda row: row["valid_f1"])
+        assert summary == {
+            "best_epoch": best["epoch"],
+            "best_valid_f1": best["valid_f1"],
+            "corpus_counters": {"duplicate_labels": 1, "dropped_unseen_labels": 2},
+            "truncated_train_records": 2,
+        }
+
+    def test_eval_reports_dropped_labels(self, trained, tmp_path, capsys):
+        out, _cfg = trained
+        split = tmp_path / "test.jsonl"
+        split.write_text(json.dumps({"text": "trig0 a", "labels": ["label0", "nope"]}) + "\n"
+                         + json.dumps({"text": "trig1", "labels": ["gone", "lost"]}) + "\n")
+        cfg = tmp_path / "c.json"
+        write_config(cfg, tmp_path, test_path=str(split))
+        code = main(["eval", "--config", str(cfg), "--checkpoint", str(out / "artifacts" / "best.npz")])
+        assert code == EXIT_OK
+        assert "dropped 3 mentions of labels" in capsys.readouterr().out
+
     def test_eval_prints_table_and_json(self, trained, capsys):
         out, cfg = trained
         checkpoint = out / "artifacts" / "best.npz"

@@ -111,14 +111,6 @@ def test_dropout_identity_when_off_and_scales_when_on():
         nn.Dropout(1.0)
 
 
-def test_head_split_roundtrip_preserves_values():
-    # reshaping to heads and back is lossless on the value path
-    rng = np.random.default_rng(8)
-    x = T.Tensor(rng.standard_normal((5, 6)))
-    back = x.reshape(5, 2, 3).swapaxes(0, 1).swapaxes(0, 1).reshape(5, 6)
-    assert back.data.tobytes() == x.data.tobytes()
-
-
 def test_attention_over_a_batch_equals_each_row_alone():
     # an unbatched query broadcasts against a (B, L, d) memory; rows of the
     # same length give the bits each row gives alone

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelset import tensor as T
+from labelset import nn, tensor as T
 from labelset.errors import ContractError, NumericDomainError, ShapeError
 
 from helpers import check_gradients, leaf
@@ -104,15 +104,11 @@ class TestPrimitiveGradients:
         check_gradients(lambda ls: (ls[0].mean(axis=1)).sum(), [x])
         check_gradients(lambda ls: ls[0].mean(), [x])
 
-    def test_reshape_transpose_swapaxes(self):
+    def test_reshape(self):
         rng = np.random.default_rng(11)
         a = leaf(rng, 2, 3)
         b = leaf(rng, 1, 3)
-        c = leaf(rng, 2, 3, 4)
-        probe = T.Tensor(rng.standard_normal((2, 4, 3)))
         check_gradients(lambda ls: (ls[1] @ ls[0].reshape(3, 2)).sum(), [a, b])
-        check_gradients(lambda ls: (ls[1] @ ls[0].swapaxes(0, 1)).sum(), [a, b])
-        check_gradients(lambda ls: (ls[0].swapaxes(-2, -1) * probe).sum(), [c])
 
     def test_fsum_over_trailing_axes(self):
         rng = np.random.default_rng(15)
@@ -140,6 +136,83 @@ class TestPrimitiveGradients:
                 lambda ls: -(T.log(T.gather(T.softmax(ls[0]), (rows, cols))).sum()),
                 [logits],
             )
+
+
+def _attention_oracle(q, k, v, num_heads, bias=None):
+    # one head at a time, in plain numpy
+    head_dim = q.shape[-1] // num_heads
+    out = []
+    for h in range(num_heads):
+        cols = slice(h * head_dim, (h + 1) * head_dim)
+        scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(head_dim)
+        if bias is not None:
+            scores = scores + bias[..., 0, :, :]
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out.append(weights / weights.sum(axis=-1, keepdims=True) @ v[..., cols])
+    return np.concatenate(out, axis=-1)
+
+
+class TestFusedOps:
+    """``linear`` and ``attention`` record one node each and agree with
+    central differences on every operand."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
+    def test_linear_gradients(self, lead):
+        rng = np.random.default_rng(20)
+        x = leaf(rng, *lead, 4)
+        w = leaf(rng, 4, 3)
+        b = leaf(rng, 3)
+        probe = T.Tensor(rng.standard_normal(lead + (3,)))
+        with T.no_grad():
+            npt.assert_allclose(T.linear(x, w, b).data, x.data @ w.data + b.data, rtol=0, atol=1e-14)
+        check_gradients(lambda ls: (T.linear(ls[0], ls[1], ls[2]) * probe).sum(), [x, w, b])
+        T.linear(x, w, b)
+        assert len(T.active_tape()) == 1
+
+    def test_linear_rejects_a_bad_width(self):
+        w = T.Tensor(np.ones((4, 3)))
+        with pytest.raises(ShapeError, match="last dim 4"):
+            T.linear(T.Tensor(np.ones((2, 5))), w, T.Tensor(np.zeros(3)))
+
+    def test_attention_with_two_heads_and_a_padding_bias(self):
+        rng = np.random.default_rng(21)
+        q, k, v = leaf(rng, 2, 3, 4), leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4)
+        bias = nn.mask_to_bias(np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]]))
+        probe = T.Tensor(rng.standard_normal((2, 3, 4)))
+        with T.no_grad():
+            out = T.attention(q, k, v, 2, bias).data
+        npt.assert_allclose(out, _attention_oracle(q.data, k.data, v.data, 2, bias), rtol=0, atol=1e-14)
+        check_gradients(lambda ls: (T.attention(ls[0], ls[1], ls[2], 2, bias) * probe).sum(), [q, k, v])
+        T.backward((T.attention(q, k, v, 2, bias) * probe).sum())
+        assert len(T.active_tape()) == 3   # attention, product, sum
+        npt.assert_array_equal(k.grad[1, 2:], 0.0)
+        npt.assert_array_equal(v.grad[1, 2:], 0.0)
+
+    def test_attention_of_unbatched_queries_into_a_batch_of_memories(self):
+        # the decoder's (m, d) queries against a (B, L, d) memory: the
+        # query gradient sums over the batch axis
+        rng = np.random.default_rng(22)
+        q, k, v = leaf(rng, 3, 4), leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4)
+        bias = nn.mask_to_bias(np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]]))
+        probe = T.Tensor(rng.standard_normal((2, 3, 4)))
+        with T.no_grad():
+            out = T.attention(q, k, v, 2, bias).data
+        assert out.shape == (2, 3, 4)
+        npt.assert_allclose(out, _attention_oracle(q.data, k.data, v.data, 2, bias), rtol=0, atol=1e-14)
+        check_gradients(lambda ls: (T.attention(ls[0], ls[1], ls[2], 2, bias) * probe).sum(), [q, k, v])
+
+    def test_attention_rejects_widths_it_cannot_split(self):
+        x = T.Tensor(np.ones((3, 6)))
+        with pytest.raises(ShapeError):
+            T.attention(x, x, x, 4)
+        with pytest.raises(ShapeError):
+            T.attention(x, T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((3, 4))), 2)
+
+    def test_attention_rejects_non_finite_scores(self):
+        q = T.Tensor(np.ones((2, 4)))
+        k = T.Tensor(np.array([[1.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]))
+        with pytest.raises(NumericDomainError):
+            T.attention(q, k, T.Tensor(np.ones((2, 4))), 2)
 
 
 class TestWorkedExamples:

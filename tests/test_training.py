@@ -314,14 +314,25 @@ class TestBatchLoss:
                 alone.append(float(batch_loss(model, one, model.queries(), None, train=False).total.data))
         assert whole == pytest.approx(np.mean(alone), rel=1e-12)
 
-    def test_default_batch_stays_within_40_tape_nodes_per_sample(self):
-        # one encoder and one decoder pass per batch, not one per sample
+    def test_default_batch_stays_within_12_tape_nodes_per_sample(self):
+        # one encoder and one decoder pass per batch, not one per sample, and
+        # one node per linear layer and per attention
         corpus = synthetic_corpus(SyntheticSpec())
         model = build_model(RunConfig(), corpus)
         batch = next(batch_iterator(corpus.train, 8, clip=model.encoder.clip))
         assert len(batch.samples) == 8
+        tape = T.active_tape()
+        T.reset_tape()
+        memory = model.encode(batch.tokens, batch.mask, rng=np.random.default_rng(0), train=True)
+        encode_nodes = len(tape)
+        queries = model.queries()
+        before_decode = len(tape)
+        model.decode(queries, memory, rng=np.random.default_rng(0), train=True)
+        decode_nodes = len(tape) - before_decode
         T.reset_tape()
         batch_loss(model, batch, model.queries(), np.random.default_rng(0), train=True)
-        nodes = len(T.active_tape())
+        nodes = len(tape)
         T.reset_tape()
-        assert nodes / 8 <= 40, f"{nodes} tape nodes for 8 samples"
+        assert encode_nodes <= 28, f"{encode_nodes} tape nodes in encode"
+        assert decode_nodes <= 41, f"{decode_nodes} tape nodes in decode"
+        assert nodes / 8 <= 12, f"{nodes} tape nodes for 8 samples"
