@@ -113,7 +113,9 @@ class TransformerEncoder(nn.Module):
     def clip(self, tokens: np.ndarray) -> np.ndarray:
         """Right-truncate an over-length sequence, keeping CLS and SEP.
 
-        Counts each clipped sentence so silent shortening never happens."""
+        ``truncation_count`` grows by one on every call that clips, so a
+        record clipped in each epoch and each evaluation pass counts once
+        per pass, not once per sentence."""
         tokens = np.asarray(tokens, dtype=np.intp)
         if tokens.shape[-1] <= self.config.max_len:
             return tokens

@@ -158,8 +158,9 @@ class Model(nn.Module):
         else:
             self.bce = self.add_child("bce", BceHead(rng, config.d_model, k))
 
-    def queries(self) -> T.Tensor:
-        """Decoder input embeddings: graph-propagated or plain learnable."""
+    def queries(self) -> T.Tensor | None:
+        """Decoder input embeddings: graph-propagated or plain learnable;
+        None for the bce head, which has no decoder."""
         if self.gcn is not None:
             return self.query_projection(self.gcn())
         return self.query_table
@@ -174,32 +175,34 @@ class Model(nn.Module):
 
     def predict(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> set[int]:
         with T.no_grad():
-            return self._labels(self.encode(tokens, mask))
+            return self._labels(self.encode(tokens, mask), self.queries())
 
     def predict_many(self, token_rows) -> list[set[int]]:
         """Label sets of many token rows, in input order.
 
         Rows are clipped, then batched only with rows of the same length, at
         most ``batch_size`` at a time, so no row is padded and each set is
-        the one ``predict`` gives for that row alone, bit for bit."""
+        the one ``predict`` gives for that row alone, bit for bit.  The label
+        queries are computed once per call."""
         rows = [self.encoder.clip(row) for row in token_rows]
         by_length: dict[int, list[int]] = {}
         for i, row in enumerate(rows):
             by_length.setdefault(row.shape[0], []).append(i)
         out: list = [None] * len(rows)
         with T.no_grad():
+            queries = self.queries()
             for group in by_length.values():
                 for start in range(0, len(group), self.config.batch_size):
                     chunk = group[start:start + self.config.batch_size]
                     memory = self.encode(np.stack([rows[i] for i in chunk]))
-                    for i, labels in zip(chunk, self._labels(memory)):
+                    for i, labels in zip(chunk, self._labels(memory, queries)):
                         out[i] = labels
         return out
 
-    def _labels(self, memory: EncodedSentence):
+    def _labels(self, memory: EncodedSentence, queries: T.Tensor | None):
         if self.bce is not None:
             return self.bce.predict(memory)
-        return predict_labels(self.decode(self.queries(), memory))
+        return predict_labels(self.decode(queries, memory))
 
     def trainable_parameters(self) -> dict[str, T.Tensor]:
         params = self.named_parameters()

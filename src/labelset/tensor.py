@@ -262,8 +262,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul cannot broadcast shapes {a.shape} and {b.shape}") from exc
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        # a constant operand (the GCN's propagation matrix) gets no product
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _record(out, (a, b), backward_fn)
 
@@ -272,8 +275,8 @@ def _row_softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a numpy array, with max subtraction."""
     if not np.isfinite(x).all():
         raise NumericDomainError("softmax input contains NaN or Inf")
-    exped = np.exp(x - x.max(axis=-1, keepdims=True))
-    return exped / exped.sum(axis=-1, keepdims=True)
+    exped = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return exped / np.add.reduce(exped, axis=-1, keepdims=True)
 
 
 def softmax(x) -> Tensor:
@@ -393,22 +396,25 @@ def gelu(x) -> Tensor:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    The input is centred once and the centred rows give both the variance
+    and ``xhat``; the sums are the ones ``np.mean`` and ``np.var`` take."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    out = xhat * gamma.data + beta.data
     width = x.shape[-1]
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / width
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / width
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    out = xhat * gamma.data + beta.data
 
     def backward_fn(g):
-        _accumulate(gamma, (g * xhat).reshape(-1, width).sum(axis=0))
-        _accumulate(beta, g.reshape(-1, width).sum(axis=0))
+        _accumulate(gamma, np.add.reduce((g * xhat).reshape(-1, width), axis=0))
+        _accumulate(beta, np.add.reduce(g.reshape(-1, width), axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data
-            term1 = dxhat.mean(axis=-1, keepdims=True)
-            term2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            term1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / width
+            term2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / width
             _accumulate(x, (dxhat - term1 - xhat * term2) * inv_std)
 
     return _record(out, (x, gamma, beta), backward_fn)

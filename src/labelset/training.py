@@ -1,5 +1,9 @@
 """Adam optimizer, evaluation loop, and the deterministic training driver.
 
+``Adam`` owns the storage of the parameters it updates: it moves them and
+their gradients into two flat buffers and steps over those in cache-sized
+blocks of the fixed ``BLOCK`` elements.
+
 Determinism contract: all randomness flows from three generators derived
 from the configured seed (parameter init, shuffling, dropout), the numeric
 core replays gradients in a fixed order, and evaluation is pure, so two
@@ -18,17 +22,27 @@ import numpy as np
 from . import tensor as T
 from .data import Corpus, Dataset, batch_iterator
 from .diversity import objective
-from .errors import NumericDomainError, TrainingDiverged
+from .errors import ContractError, NumericDomainError, TrainingDiverged
 from .matching import pad_gold
 from .metrics import MetricAccumulator
 from .model import Model, RunConfig, build_model, save_checkpoint
+
+# elements per Adam block: a block's four state slices and two scratch rows
+# (6 x 256 KiB) fit in a 2 MiB L2 cache
+BLOCK = 32768
 
 
 class Adam:
     """Adaptive-moment gradient descent over a named parameter dict.
 
-    Update order is the dict's insertion order; state arrays are keyed by
-    name so the walk is reproducible.
+    Construction moves the parameters into one flat float64 buffer, in the
+    dict's insertion order, and their gradients into a second one: each
+    parameter's ``.data`` and ``.grad`` are rebound to views of those
+    buffers, so the model and the optimizer share storage.  ``step`` walks
+    the parameters, gradients and both moments in blocks of ``BLOCK``
+    elements, a size whose working set fits in a core's cache, and gives
+    each element the same arithmetic in the same order as a per-parameter
+    update would, so the result does not depend on the block size.
     """
 
     def __init__(self, params: dict[str, T.Tensor], lr: float,
@@ -39,26 +53,53 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.first_moment = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.second_moment = {name: np.zeros_like(p.data) for name, p in params.items()}
+        total = sum(p.data.size for p in params.values())
+        self.data = np.empty(total)
+        self.grad = np.empty(total)
+        offset = 0
+        for param in params.values():
+            shape, end = param.data.shape, offset + param.data.size
+            self.data[offset:end] = param.data.ravel()
+            self.grad[offset:end] = param.grad.ravel()
+            param.data = self.data[offset:end].reshape(shape)
+            param.grad = self.grad[offset:end].reshape(shape)
+            offset = end
+        self.first_moment = np.zeros(total)
+        self.second_moment = np.zeros(total)
+        self._scratch = np.empty((2, BLOCK))
 
     def step(self) -> None:
-        self.step_count += 1
-        scale1 = 1.0 - self.beta1 ** self.step_count
-        scale2 = 1.0 - self.beta2 ** self.step_count
         for name, param in self.params.items():
-            g = param.grad
-            m = self.first_moment[name]
-            v = self.second_moment[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            param.data -= self.lr * (m / scale1) / (np.sqrt(v / scale2) + self.eps)
+            if param.data.base is not self.data or \
+                    getattr(param.grad, "base", None) is not self.grad:
+                raise ContractError(f"parameter {name!r} no longer views the optimizer's buffers")
+        self.step_count += 1
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        scale1 = 1.0 - b1 ** self.step_count
+        scale2 = 1.0 - b2 ** self.step_count
+        block = self._scratch.shape[1]
+        for start in range(0, self.data.size, block):
+            end = start + block
+            p, g = self.data[start:end], self.grad[start:end]
+            m, v = self.first_moment[start:end], self.second_moment[start:end]
+            a, b = self._scratch[0, :p.size], self._scratch[1, :p.size]
+            m *= b1
+            np.multiply(1.0 - b1, g, out=a)
+            m += a
+            v *= b2
+            np.multiply(1.0 - b2, g, out=a)
+            a *= g
+            v += a
+            np.divide(m, scale1, out=a)
+            a *= lr
+            np.divide(v, scale2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            p -= a
 
     def zero_grad(self) -> None:
-        for param in self.params.values():
-            param.grad[...] = 0.0
+        self.grad.fill(0.0)
 
 
 def evaluate(model: Model, dataset: Dataset) -> dict[str, float]:
@@ -102,6 +143,7 @@ class EpochRecord:
     train_loss: float
     set_loss: float     # train_loss = set_loss + bc_weight * bc_penalty, up to rounding
     bc_penalty: float
+    grad_norm: float    # mean over the epoch's batches of the L2 norm of the gradient before a step
     valid_f1: float
     valid_hamming: float
 
@@ -140,15 +182,15 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
                 for batch in batch_iterator(corpus.train, config.batch_size,
                                             rng=shuffle_rng, clip=model.encoder.clip):
                     T.reset_tape()
-                    queries = model.queries() if model.bce is None else None
-                    loss = batch_loss(model, batch, queries, dropout_rng, train=True)
+                    loss = batch_loss(model, batch, model.queries(), dropout_rng, train=True)
                     value = float(loss.total.data)
                     if not np.isfinite(value):
                         raise NumericDomainError("non-finite loss")
                     optimizer.zero_grad()
                     T.backward(loss.total)
+                    grad_norm = float(np.sqrt(np.dot(optimizer.grad, optimizer.grad)))
                     optimizer.step()
-                    epoch_losses.append((value, loss.set_loss, loss.bc_penalty))
+                    epoch_losses.append((value, loss.set_loss, loss.bc_penalty, grad_norm))
                 T.reset_tape()
                 valid_report = evaluate(model, corpus.valid)
             except NumericDomainError as exc:
@@ -157,11 +199,13 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
                 kept = (f"best checkpoint is from epoch {result.best_epoch}"
                         if result.best_epoch > 0 else "no checkpoint was saved")
                 raise TrainingDiverged(f"{exc} at epoch {epoch}; {kept}") from exc
-            train_loss, set_part, penalty = (float(np.mean(column)) for column in zip(*epoch_losses))
+            train_loss, set_part, penalty, grad_norm = (float(np.mean(column))
+                                                        for column in zip(*epoch_losses))
             record = EpochRecord(epoch=epoch,
                                  train_loss=train_loss,
                                  set_loss=set_part,
                                  bc_penalty=penalty,
+                                 grad_norm=grad_norm,
                                  valid_f1=valid_report["f1"],
                                  valid_hamming=valid_report["hamming_loss"])
             result.history.append(record)

@@ -175,6 +175,22 @@ class TestModelAssembly:
                     alone = model.decode(queries, model.encode(row)).distributions.data
                     assert probs.tobytes() == alone.tobytes()
 
+    def test_predict_many_computes_the_queries_once(self, monkeypatch):
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(), corpus)
+        rows = [sample.tokens for sample in corpus.valid]
+        assert len({row.shape[0] for row in rows}) >= 3
+        calls = []
+        queries = model.queries
+
+        def counting():
+            calls.append(1)
+            return queries()
+
+        monkeypatch.setattr(model, "queries", counting)
+        model.predict_many(rows)
+        assert len(calls) == 1
+
     def test_predict_many_clips_and_keeps_order(self, monkeypatch):
         corpus = tiny_corpus()
         model = build_model(tiny_config(max_len=5, batch_size=2), corpus)

@@ -215,6 +215,56 @@ class TestFusedOps:
             T.attention(q, k, T.Tensor(np.ones((2, 4))), 2)
 
 
+class TestConstantOperands:
+    def test_matmul_skips_the_product_for_a_constant_operand(self, monkeypatch):
+        # the GCN's propagation matrix is a constant left operand
+        rng = np.random.default_rng(23)
+        spread = T.Tensor(rng.standard_normal((4, 4)))
+        h = leaf(rng, 4, 3)
+        probe = rng.standard_normal((4, 3))
+        loss = ((spread @ h) * T.Tensor(probe)).sum()
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        T.backward(loss)
+        assert len(calls) == 1
+        npt.assert_allclose(h.grad, spread.data.T @ probe, rtol=0, atol=1e-14)
+
+
+def _layer_norm_oracle(x, gamma, beta, g, eps=1e-5):
+    """Forward and backward of layer norm through np.mean / np.var."""
+    width = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) * inv_std
+    dxhat = g * gamma
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
+    return (xhat * gamma + beta, dx, (g * xhat).reshape(-1, width).sum(axis=0),
+            g.reshape(-1, width).sum(axis=0))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5, 7), (8, 12, 64)], ids=["1d", "3d", "wide"])
+def test_layer_norm_equals_the_mean_var_oracle_bitwise(shape):
+    rng = np.random.default_rng(24)
+    x = T.Tensor(rng.normal(0.3, 2.0, size=shape), requires_grad=True)
+    gamma = T.Tensor(rng.uniform(0.5, 1.5, size=shape[-1]), requires_grad=True)
+    beta = leaf(rng, shape[-1])
+    probe = rng.standard_normal(shape)
+    out = T.layer_norm(x, gamma, beta)
+    T.backward((out * T.Tensor(probe)).sum())
+    expected = _layer_norm_oracle(x.data, gamma.data, beta.data, probe)
+    # gradients accumulate into zeros, which turns a -0.0 into 0.0
+    got = (out.data, x.grad, gamma.grad, beta.grad)
+    for have, want in zip(got, (expected[0],) + tuple(0.0 + e for e in expected[1:])):
+        assert have.tobytes() == want.tobytes()
+
+
 class TestWorkedExamples:
     def test_sum_gradient_is_ones(self):
         w = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)

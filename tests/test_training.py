@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import labelset.tensor as T
+import labelset.training as training_mod
 from helpers import check_gradients
 from labelset.data import Batch, RawRecord, SyntheticSpec, batch_iterator, build_corpus, pad_batch, synthetic_corpus
-from labelset.errors import NumericDomainError, TrainingDiverged
+from labelset.errors import ContractError, NumericDomainError, TrainingDiverged
 from labelset.model import RunConfig, build_model, load_checkpoint
 from labelset.training import Adam, BatchLoss, batch_loss, evaluate, run_training, train
 
@@ -77,11 +78,58 @@ class TestAdam:
             assert np.allclose(w.data, ref, atol=1e-12)
 
     def test_zero_grad_clears(self):
-        w = T.Tensor(np.ones(3), requires_grad=True)
-        opt = Adam({"w": w}, lr=0.1)
-        w.grad[:] = 5.0
+        params = {f"p{i}": T.Tensor(np.ones(shape), requires_grad=True)
+                  for i, shape in enumerate([(1,), (5,), (3, 4), (2, 2, 4)])}
+        opt = Adam(params, lr=0.1)
+        for p in params.values():
+            p.grad[...] = 5.0
         opt.zero_grad()
-        assert np.array_equal(w.grad, np.zeros(3))
+        for p in params.values():
+            assert np.array_equal(p.grad, np.zeros(p.shape))
+
+    def test_blocked_step_matches_a_per_parameter_reference_bitwise(self, monkeypatch):
+        # blocks of 7 elements straddle parameters of 1, 5, 12 and 16 elements
+        monkeypatch.setattr(training_mod, "BLOCK", 7)
+        rng = np.random.default_rng(5)
+        shapes = [(1,), (5,), (3, 4), (2, 2, 4)]
+        params = {f"p{i}": T.Tensor(rng.normal(size=shape), requires_grad=True)
+                  for i, shape in enumerate(shapes)}
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros(p.shape) for name, p in params.items()}
+        v = {name: np.zeros(p.shape) for name, p in params.items()}
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr)
+        for t in range(1, 6):
+            for name, p in params.items():
+                g = rng.normal(size=p.shape)
+                p.grad[...] = g
+                m[name] *= b1
+                m[name] += (1.0 - b1) * g
+                v[name] *= b2
+                v[name] += (1.0 - b2) * g * g
+                ref[name] -= lr * (m[name] / (1.0 - b1 ** t)) / (np.sqrt(v[name] / (1.0 - b2 ** t)) + eps)
+            opt.step()
+            for name, p in params.items():
+                assert p.data.tobytes() == ref[name].tobytes(), (t, name)
+
+    @pytest.mark.parametrize("field", ["data", "grad"])
+    def test_rebound_parameter_is_a_contract_error(self, field):
+        params = {"a": T.Tensor(np.ones(3), requires_grad=True),
+                  "b": T.Tensor(np.ones((2, 2)), requires_grad=True)}
+        opt = Adam(params, lr=0.1)
+        setattr(params["b"], field, np.ones((2, 2)))
+        with pytest.raises(ContractError, match="'b'"):
+            opt.step()
+
+    def test_default_model_parameters_view_the_optimizer_buffers(self):
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(), corpus)
+        before = {name: p.data.copy() for name, p in model.trainable_parameters().items()}
+        opt = Adam(model.trainable_parameters(), lr=1e-3)
+        assert opt.data.size == sum(a.size for a in before.values())
+        for name, p in model.trainable_parameters().items():
+            assert p.data.base is opt.data and p.grad.base is opt.grad, name
+            assert np.array_equal(p.data, before[name]), name
 
 
 class TestTrainingLoop:
@@ -111,7 +159,8 @@ class TestTrainingLoop:
         assert len(on_disk) == 3
         assert on_disk[0]["epoch"] == 1
         assert set(on_disk[0]) == {"epoch", "train_loss", "set_loss", "bc_penalty",
-                                   "valid_f1", "valid_hamming"}
+                                   "grad_norm", "valid_f1", "valid_hamming"}
+        assert all(math.isfinite(row["grad_norm"]) and row["grad_norm"] > 0.0 for row in on_disk)
         assert [row["train_loss"] for row in on_disk] == [
             r.train_loss for r in result.history
         ]
@@ -197,8 +246,6 @@ class TestTrainingLoop:
                 assert np.array_equal(p.data, before[n])
 
     def test_divergence_raises_and_keeps_best(self, tmp_path, monkeypatch):
-        import labelset.training as training_mod
-
         corpus = tiny_corpus()
         cfg = tiny_config(epochs=5)
         model = build_model(cfg, corpus)
@@ -224,8 +271,6 @@ class TestTrainingLoop:
         assert math.isfinite(rep["f1"])
 
     def test_divergence_on_first_batch(self, monkeypatch):
-        import labelset.training as training_mod
-
         corpus = tiny_corpus()
         model = build_model(tiny_config(epochs=1), corpus)
         monkeypatch.setattr(
