@@ -1,5 +1,12 @@
 """Command-line surface: graph | train | eval | predict | ablate.
 
+A run's settings are one ``RunConfig``: the ``--config`` JSON file with the
+subcommand's override flags on top.  Each subcommand registers only the
+flags it reads: ``train`` and ``ablate`` all ten settings flags, ``graph``
+``--config``, ``--out`` and ``--tau``, ``eval`` ``--config``, and
+``predict`` none, since its settings come from the checkpoint.  Any other
+flag, or an abbreviation of one, is a usage error before anything runs.
+
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 3 numeric failure, 4 internal error (the traceback is printed).  BLAS thread
 pools are pinned to one thread before numpy loads so training runs are
@@ -13,12 +20,13 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import fields
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, ConfigError, LabelsetError
+from .errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, ConfigError, LabelsetError, ValidationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,50 +42,52 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="labelset",
                      description="Multi-label text classification as set prediction")
     commands = parser.add_subparsers(dest="command", required=True)
+    # each flag's dest is the RunConfig key it overrides (--config excepted)
+    settings = {
+        "--config": dict(help="JSON file of run settings"),
+        "--seed": dict(type=int, help="override the run seed"),
+        "--out": dict(dest="out_dir", help="override the output directory"),
+        "--lambda": dict(dest="bc_weight", type=float,
+                         help="override the overlap-penalty weight"),
+        "--tau": dict(type=float, help="override the edge threshold"),
+        "--m": dict(dest="num_queries", type=int, help="override the query slot count"),
+        "--no-gcn": dict(dest="use_gcn", action="store_const", const=False,
+                         help="replace graph queries with a plain learnable table"),
+        "--no-bc": dict(dest="use_bc", action="store_const", const=False,
+                        help="disable the overlap penalty"),
+        "--head": dict(choices=("set_prediction", "bce"),
+                       help="override the classification head"),
+        "--cost-mode": dict(choices=("prob", "log_prob"),
+                            help="override the matching cost flavor"),
+    }
 
-    def common(sub):
-        sub.add_argument("--config", help="JSON file of run settings")
-        sub.add_argument("--seed", type=int, help="override the run seed")
-        sub.add_argument("--out", help="override the output directory")
-        sub.add_argument("--lambda", dest="bc_weight", type=float,
-                         help="override the overlap-penalty weight")
-        sub.add_argument("--tau", type=float, help="override the edge threshold")
-        sub.add_argument("--m", dest="num_queries", type=int,
-                         help="override the query slot count")
-        sub.add_argument("--no-gcn", action="store_true",
-                         help="replace graph queries with a plain learnable table")
-        sub.add_argument("--no-bc", action="store_true", help="disable the overlap penalty")
-        sub.add_argument("--head", choices=("set_prediction", "bce"),
-                         help="override the classification head")
-        sub.add_argument("--cost-mode", choices=("prob", "log_prob"),
-                         help="override the matching cost flavor")
+    def command(name, func, summary, flags=()):
+        sub = commands.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            sub.add_argument(flag, **settings[flag])
+        sub.set_defaults(func=func)
         return sub
 
-    graph_cmd = common(commands.add_parser("graph", help="build and dump the label graph"))
-    graph_cmd.set_defaults(func=cmd_graph)
+    command("graph", cmd_graph, "build and dump the label graph", ("--config", "--out", "--tau"))
+    command("train", cmd_train, "train a model", settings)
 
-    train_cmd = common(commands.add_parser("train", help="train a model"))
-    train_cmd.set_defaults(func=cmd_train)
-
-    eval_cmd = common(commands.add_parser("eval", help="evaluate a checkpoint"))
+    eval_cmd = command("eval", cmd_eval, "evaluate a checkpoint", ("--config",))
     eval_cmd.add_argument("--checkpoint", required=True)
     eval_cmd.add_argument("--split", choices=("train", "valid", "test"), default="test")
-    eval_cmd.set_defaults(func=cmd_eval)
 
-    predict_cmd = common(commands.add_parser("predict", help="label a JSONL file"))
+    # settings come from the checkpoint
+    predict_cmd = command("predict", cmd_predict, "label a JSONL file")
     predict_cmd.add_argument("--checkpoint", required=True)
     predict_cmd.add_argument("--input", required=True)
     predict_cmd.add_argument("--output", required=True)
-    predict_cmd.set_defaults(func=cmd_predict)
 
-    ablate_cmd = common(commands.add_parser(
-        "ablate", help="train full, wo/GCN, wo/BC, and bce variants and compare"))
-    ablate_cmd.set_defaults(func=cmd_ablate)
-
+    command("ablate", cmd_ablate,
+            "train full, wo/GCN, wo/BC, and bce variants and compare", settings)
     return parser
 
 
 def resolve_config(args):
+    """The RunConfig of ``--config`` with the subcommand's flag overrides."""
     from .model import RunConfig
 
     raw = {}
@@ -91,20 +101,9 @@ def resolve_config(args):
             raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config} must hold a JSON object")
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "bc_weight": args.bc_weight,
-        "tau": args.tau,
-        "num_queries": args.num_queries,
-        "head": args.head,
-        "cost_mode": args.cost_mode,
-    }
-    raw.update({key: value for key, value in overrides.items() if value is not None})
-    if args.no_gcn:
-        raw["use_gcn"] = False
-    if args.no_bc:
-        raw["use_bc"] = False
+    keys = {f.name for f in fields(RunConfig)}
+    raw.update({key: value for key, value in vars(args).items()
+                if key in keys and value is not None})
     return RunConfig.from_dict(raw)
 
 
@@ -138,9 +137,10 @@ def load_splits(config):
     return corpus
 
 
-def cmd_graph(args, config) -> int:
+def cmd_graph(args) -> int:
     from .graph import LabelGraph, dump_matrix
 
+    config = resolve_config(args)
     corpus = load_splits(config)
     built = LabelGraph(corpus.train, corpus.label_vocab,
                        tau=config.tau, p_neighbor=config.p_neighbor)
@@ -168,9 +168,10 @@ def cmd_graph(args, config) -> int:
     return 0
 
 
-def cmd_train(args, config) -> int:
+def cmd_train(args) -> int:
     from .training import run_training
 
+    config = resolve_config(args)
     corpus = load_splits(config)
     if len(corpus.valid) == 0:
         raise ConfigError("valid_path is required: training selects its checkpoint "
@@ -189,17 +190,20 @@ def cmd_train(args, config) -> int:
     return 0
 
 
-def cmd_eval(args, config) -> int:
+def cmd_eval(args) -> int:
     from .data import read_jsonl, records_to_dataset
     from .metrics import render_table, report_json
     from .model import load_checkpoint
     from .training import evaluate
 
+    config = resolve_config(args)
     model = load_checkpoint(args.checkpoint)
     path = getattr(config, f"{args.split}_path")
     if path is None:
         raise ConfigError(f"{args.split}_path is required to evaluate that split")
     records, _ = read_jsonl(path)
+    if not records:
+        raise ValidationError(f"{args.split} split {path} holds no records to evaluate")
     dataset, dropped = records_to_dataset(records, model.label_vocab, model.token_vocab,
                                           name=args.split, drop_unseen=True)
     report = evaluate(model, dataset)
@@ -209,12 +213,11 @@ def cmd_eval(args, config) -> int:
     return 0
 
 
-def cmd_predict(args, config) -> int:
-    # settings come from the checkpoint; ``config`` only proves the flags valid
+def cmd_predict(args) -> int:
+    from .data import read_jsonl
     from .model import load_checkpoint
 
     model = load_checkpoint(args.checkpoint)
-    from .data import read_jsonl
 
     records, _ = read_jsonl(args.input, require_labels=False)
     preds = model.predict_many([model.token_vocab.encode(record.text) for record in records])
@@ -234,11 +237,12 @@ VARIANTS = (
 )
 
 
-def cmd_ablate(args, config) -> int:
+def cmd_ablate(args) -> int:
     from .metrics import render_table
     from .model import RunConfig
     from .training import evaluate, run_training
 
+    config = resolve_config(args)
     corpus = load_splits(config)
     if len(corpus.valid) == 0:
         raise ConfigError("valid_path is required: training selects its checkpoint "
@@ -263,7 +267,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, resolve_config(args))
+        return args.func(args)
     except LabelsetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -23,24 +23,6 @@ from .errors import ConfigError, ContractError, NumericDomainError
 NULL_OFFSET = 1  # the no-label class sits at index K, one past the labels
 
 
-@dataclass(frozen=True)
-class DecoderConfig:
-    num_queries: int
-    num_classes: int          # K + 1, last index is the no-label class
-    d_model: int = 64
-    num_layers: int = 2
-    num_heads: int = 4
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        if self.num_queries < 1:
-            raise ConfigError("decoder needs at least one query slot")
-        if self.num_classes < 2:
-            raise ConfigError("decoder needs at least one real label plus the no-label class")
-        if self.d_model % self.num_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
-
-
 @dataclass
 class PredictionSet:
     """m rows of label probabilities, one per query slot (per sentence)."""
@@ -66,23 +48,23 @@ class PredictionSet:
 
 
 class SetDecoder(nn.Module):
-    def __init__(self, rng: np.random.Generator, config: DecoderConfig):
+    """``num_classes`` is K + 1: the last class is the no-label class."""
+
+    def __init__(self, rng: np.random.Generator, num_queries: int, num_classes: int,
+                 d_model: int, num_layers: int, num_heads: int, dropout: float = 0.0):
         super().__init__()
-        self.config = config
+        self.query_shape = (num_queries, d_model)
         self.layers = []
-        for i in range(config.num_layers):
-            layer = nn.TransformerLayer(rng, config.d_model, config.num_heads,
-                                        dropout=config.dropout, cross=True)
+        for i in range(num_layers):
+            layer = nn.TransformerLayer(rng, d_model, num_heads, dropout=dropout, cross=True)
             self.layers.append(self.add_child(f"layer{i}", layer))
-        self.final_norm = self.add_child("final_norm", nn.LayerNorm(config.d_model))
-        self.head = self.add_child("head", nn.Linear(rng, config.d_model, config.num_classes))
+        self.final_norm = self.add_child("final_norm", nn.LayerNorm(d_model))
+        self.head = self.add_child("head", nn.Linear(rng, d_model, num_classes))
 
     def decode(self, queries: T.Tensor, memory: EncodedSentence,
                rng: np.random.Generator | None = None, train: bool = False) -> PredictionSet:
-        if queries.shape != (self.config.num_queries, self.config.d_model):
-            raise ConfigError(
-                f"queries shaped {queries.shape}, decoder expects "
-                f"({self.config.num_queries}, {self.config.d_model})")
+        if queries.shape != self.query_shape:
+            raise ConfigError(f"queries shaped {queries.shape}, decoder expects {self.query_shape}")
         memory_bias = nn.mask_to_bias(memory.attention_mask)
         x = queries
         for layer in self.layers:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, tensor as T
-from .errors import ConfigError, ContractError, VocabularyError
+from .errors import ContractError, VocabularyError
 
 PAD, CLS, SEP, OOV = 0, 1, 2, 3
 _SPECIALS = ("<pad>", "<cls>", "<sep>", "<oov>")
@@ -54,9 +54,6 @@ class TokenVocabulary:
     def size(self) -> int:
         return len(self._names)
 
-    def token_id(self, token: str) -> int:
-        return self._index.get(token, OOV)
-
     def encode(self, text: str) -> np.ndarray:
         """Token ids wrapped in CLS ... SEP; unknown tokens map to OOV."""
         body = [self._index.get(tok, OOV) for tok in tokenize(text)]
@@ -64,28 +61,6 @@ class TokenVocabulary:
 
     def to_list(self) -> list[str]:
         return list(self._names)
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    vocab_size: int
-    d_model: int = 64
-    num_layers: int = 2
-    num_heads: int = 4
-    max_len: int = 64
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        if self.vocab_size < len(_SPECIALS):
-            raise ConfigError(f"vocab_size must cover the {len(_SPECIALS)} reserved tokens")
-        if self.d_model <= 0 or self.num_layers <= 0:
-            raise ConfigError("d_model and num_layers must be positive")
-        if self.d_model % self.num_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
-        if self.max_len < 3:
-            raise ConfigError("max_len must leave room for CLS and SEP plus one token")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -97,16 +72,18 @@ class EncodedSentence:
 class TransformerEncoder(nn.Module):
     """Token + position embeddings, pre-norm self-attention blocks, final norm."""
 
-    def __init__(self, rng: np.random.Generator, config: EncoderConfig):
+    def __init__(self, rng: np.random.Generator, vocab_size: int, d_model: int,
+                 num_layers: int, num_heads: int, max_len: int, dropout: float = 0.0):
         super().__init__()
-        self.config = config
+        self.vocab_size = vocab_size
+        self.max_len = max_len
         self.truncation_count = 0
-        d = config.d_model
-        self.token_embed = self.register("token_embed", nn.uniform_init(rng, d, (config.vocab_size, d)))
-        self.pos_embed = self.register("pos_embed", nn.uniform_init(rng, d, (config.max_len, d)))
+        d = d_model
+        self.token_embed = self.register("token_embed", nn.uniform_init(rng, d, (vocab_size, d)))
+        self.pos_embed = self.register("pos_embed", nn.uniform_init(rng, d, (max_len, d)))
         self.layers = []
-        for i in range(config.num_layers):
-            layer = nn.TransformerLayer(rng, d, config.num_heads, dropout=config.dropout)
+        for i in range(num_layers):
+            layer = nn.TransformerLayer(rng, d, num_heads, dropout=dropout)
             self.layers.append(self.add_child(f"layer{i}", layer))
         self.final_norm = self.add_child("final_norm", nn.LayerNorm(d))
 
@@ -117,12 +94,12 @@ class TransformerEncoder(nn.Module):
         record clipped in each epoch and each evaluation pass counts once
         per pass, not once per sentence."""
         tokens = np.asarray(tokens, dtype=np.intp)
-        if tokens.shape[-1] <= self.config.max_len:
+        if tokens.shape[-1] <= self.max_len:
             return tokens
         if tokens.ndim != 1:
             raise ContractError("clip batch rows before padding them to one width")
         self.truncation_count += 1
-        return np.concatenate([tokens[: self.config.max_len - 1], tokens[-1:]])
+        return np.concatenate([tokens[: self.max_len - 1], tokens[-1:]])
 
     def encode(self, tokens: np.ndarray, attention_mask: np.ndarray | None = None,
                rng: np.random.Generator | None = None, train: bool = False) -> EncodedSentence:
@@ -133,8 +110,8 @@ class TransformerEncoder(nn.Module):
             attention_mask = np.ones(tokens.shape, dtype=np.float64)
         else:
             attention_mask = np.asarray(attention_mask, dtype=np.float64)[..., :length]
-        if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
-            raise VocabularyError(f"token id out of range for vocabulary of {self.config.vocab_size}")
+        if tokens.min() < 0 or tokens.max() >= self.vocab_size:
+            raise VocabularyError(f"token id out of range for vocabulary of {self.vocab_size}")
         real = attention_mask.sum(axis=-1).astype(np.intp)
         if (real < 2).any() or (tokens[..., 0] != CLS).any() or \
                 (np.take_along_axis(tokens, real[..., None] - 1, axis=-1) != SEP).any():

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import nn, tensor as T
 from .data import Corpus, LabelVocabulary
-from .decoder import BceHead, DecoderConfig, PredictionSet, SetDecoder, predict_labels
-from .encoder import EncodedSentence, EncoderConfig, TokenVocabulary, TransformerEncoder
+from .decoder import BceHead, PredictionSet, SetDecoder, predict_labels
+from .encoder import EncodedSentence, TokenVocabulary, TransformerEncoder
 from .errors import CheckpointError, ConfigError
 from .graph import GcnStack, LabelGraph, QueryProjection
 from .matching import COST_MODES
@@ -127,10 +127,13 @@ class Model(nn.Module):
         k = label_vocab.size
         m = config.num_queries
 
-        self.encoder = self.add_child("encoder", TransformerEncoder(rng, EncoderConfig(
-            vocab_size=token_vocab.size, d_model=config.d_model,
-            num_layers=config.encoder_layers, num_heads=config.encoder_heads,
-            max_len=config.max_len, dropout=config.dropout)))
+        self.encoder = self.add_child("encoder", TransformerEncoder(
+            rng, token_vocab.size, config.d_model, config.encoder_layers,
+            config.encoder_heads, config.max_len, dropout=config.dropout))
+        if config.freeze_encoder:
+            for param in self.encoder.named_parameters().values():
+                param.requires_grad = False
+                param.grad = None
 
         self.gcn = None
         self.query_projection = None
@@ -151,10 +154,9 @@ class Model(nn.Module):
             else:
                 self.query_table = self.register(
                     "query_table", nn.uniform_init(rng, config.d_model, (m, config.d_model)))
-            self.decoder = self.add_child("decoder", SetDecoder(rng, DecoderConfig(
-                num_queries=m, num_classes=k + 1, d_model=config.d_model,
-                num_layers=config.decoder_layers, num_heads=config.decoder_heads,
-                dropout=config.dropout)))
+            self.decoder = self.add_child("decoder", SetDecoder(
+                rng, m, k + 1, config.d_model, config.decoder_layers,
+                config.decoder_heads, dropout=config.dropout))
         else:
             self.bce = self.add_child("bce", BceHead(rng, config.d_model, k))
 
@@ -173,9 +175,9 @@ class Model(nn.Module):
                rng: np.random.Generator | None = None, train: bool = False) -> PredictionSet:
         return self.decoder.decode(queries, memory, rng=rng, train=train)
 
-    def predict(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> set[int]:
+    def predict(self, tokens: np.ndarray) -> set[int]:
         with T.no_grad():
-            return self._labels(self.encode(tokens, mask), self.queries())
+            return self._labels(self.encode(tokens), self.queries())
 
     def predict_many(self, token_rows) -> list[set[int]]:
         """Label sets of many token rows, in input order.
@@ -205,10 +207,8 @@ class Model(nn.Module):
         return predict_labels(self.decode(queries, memory))
 
     def trainable_parameters(self) -> dict[str, T.Tensor]:
-        params = self.named_parameters()
-        if self.config.freeze_encoder:
-            params = {name: p for name, p in params.items() if not name.startswith("encoder.")}
-        return params
+        """The parameters that take gradients: all but a frozen encoder's."""
+        return {name: p for name, p in self.named_parameters().items() if p.requires_grad}
 
 
 def build_model(config: RunConfig, corpus: Corpus, graph: LabelGraph | None = None) -> Model:

@@ -64,14 +64,13 @@ class Linear(Module):
 class LayerNorm(Module):
     """Last-axis normalization with learned scale (starts at 1) and shift (0)."""
 
-    def __init__(self, width: int, eps: float = 1e-5):
+    def __init__(self, width: int):
         super().__init__()
-        self.eps = eps
         self.gamma = self.register("gamma", np.ones(width))
         self.beta = self.register("beta", np.zeros(width))
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 def mask_to_bias(mask: np.ndarray) -> np.ndarray:

@@ -38,3 +38,12 @@ def test_worker_and_tracer_helpers_exist():
 
     assert "batch_iterator" in vars(training)
     assert len(tensor.active_tape()) >= 0
+
+
+def test_worker_predict_argv_parses():
+    # the argv perfbench/worker.py hands to ``labelset predict``
+    from labelset import cli
+
+    args = cli.build_parser().parse_args(
+        ["predict", "--checkpoint", "c", "--input", "i", "--output", "o"])
+    assert (args.func, args.checkpoint, args.input, args.output) == (cli.cmd_predict, "c", "i", "o")

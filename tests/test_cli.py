@@ -124,7 +124,7 @@ class TestExitCodes:
     def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
         import labelset.cli as cli
 
-        def broken(args, config):
+        def broken(args):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "cmd_graph", broken)
@@ -182,8 +182,8 @@ class TestGraphCommand:
     def test_config_echo_is_resolved(self, tmp_path, corpus_dir):
         cfg = tmp_path / "c.json"
         out = tmp_path / "out"
-        write_config(cfg, corpus_dir, out_dir=str(out))
-        main(["graph", "--config", str(cfg), "--tau", "0.25", "--seed", "9"])
+        write_config(cfg, corpus_dir, out_dir=str(out), seed=9)
+        main(["graph", "--config", str(cfg), "--tau", "0.25"])
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["tau"] == 0.25
         assert echoed["seed"] == 9
@@ -305,17 +305,45 @@ class TestTrainEvalPredict:
                      "--input", str(inputs), "--output", str(outputs)]) == EXIT_OK
         assert outputs.read_text() == ""
 
-    @pytest.mark.parametrize("flags", [["--config", "/nonexistent/config.json"],
-                                       ["--tau", "7"]])
-    def test_predict_rejects_bad_settings(self, trained, tmp_path, flags):
+    def test_eval_empty_split_is_data_error(self, trained, tmp_path, capsys):
         out, _cfg = trained
+        split = tmp_path / "test.jsonl"
+        split.write_text("")
+        cfg = tmp_path / "c.json"
+        write_config(cfg, tmp_path, test_path=str(split))
+        code = main(["eval", "--config", str(cfg), "--checkpoint", str(out / "artifacts" / "best.npz")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "test split" in err and str(split) in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("graph", ["--m", "3"]),
+        ("graph", ["--seed", "9"]),
+        ("eval", ["--lambda", "0.5"]),
+        ("predict", ["--config", "x"]),
+        ("predict", ["--tau", "0.3"]),
+        ("predict", ["--out", "x"]),  # not taken as an abbreviation of --output
+    ], ids=["graph-m", "graph-seed", "eval-lambda", "predict-config", "predict-tau", "predict-out"])
+    def test_unread_flag_is_usage_error(self, trained, corpus_dir, tmp_path, capsys, command, flags):
+        out, _cfg = trained
+        checkpoint = str(out / "artifacts" / "best.npz")
+        cfg = tmp_path / "c.json"
+        write_config(cfg, corpus_dir, out_dir=str(tmp_path / "out"))
         inputs = tmp_path / "in.jsonl"
         inputs.write_text(json.dumps({"text": "trig0"}) + "\n")
-        outputs = tmp_path / "out.jsonl"
-        code = main(["predict", *flags, "--checkpoint", str(out / "artifacts" / "best.npz"),
-                     "--input", str(inputs), "--output", str(outputs)])
-        assert code == EXIT_CONFIG
-        assert not outputs.exists()
+        argv = {
+            "graph": ["--config", str(cfg)],
+            "eval": ["--config", str(cfg), "--checkpoint", checkpoint],
+            "predict": ["--checkpoint", checkpoint, "--input", str(inputs),
+                        "--output", str(tmp_path / "pred.jsonl")],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, *flags])
+        assert exc.value.code == EXIT_CONFIG
+        assert sorted(tmp_path.iterdir()) == before
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 class TestAblateCommand:

@@ -6,7 +6,7 @@ import pytest
 
 from labelset import decoder as dec
 from labelset import tensor as T
-from labelset.encoder import CLS, SEP, EncoderConfig, TransformerEncoder
+from labelset.encoder import CLS, SEP, TransformerEncoder
 from labelset.errors import ConfigError, ContractError, NumericDomainError
 
 
@@ -18,15 +18,14 @@ def clean_tape():
 
 
 def encoded(seed=0, ids=(CLS, 4, 5, SEP)):
-    config = EncoderConfig(vocab_size=10, d_model=8, num_layers=1, num_heads=2, max_len=12)
-    model = TransformerEncoder(np.random.default_rng(seed), config)
+    model = TransformerEncoder(np.random.default_rng(seed), vocab_size=10, d_model=8,
+                               num_layers=1, num_heads=2, max_len=12)
     return model.encode(np.array(ids))
 
 
 def make_decoder(m=3, num_classes=8, seed=1, layers=1):
-    config = dec.DecoderConfig(num_queries=m, num_classes=num_classes, d_model=8,
-                               num_layers=layers, num_heads=2)
-    return dec.SetDecoder(np.random.default_rng(seed), config)
+    return dec.SetDecoder(np.random.default_rng(seed), num_queries=m, num_classes=num_classes,
+                          d_model=8, num_layers=layers, num_heads=2)
 
 
 class TestDecode:
@@ -142,8 +141,9 @@ class TestBceHead:
         head.readout.weight.data[...] = 0.0
         for big, gold in ((30.0, {0}),):
             head.readout.bias.data[:] = [big, -big]
-            memory_cfg = EncoderConfig(vocab_size=6, d_model=4, num_layers=1, num_heads=1, max_len=4)
-            memory = TransformerEncoder(np.random.default_rng(0), memory_cfg).encode(np.array([CLS, SEP]))
+            encoder = TransformerEncoder(np.random.default_rng(0), vocab_size=6, d_model=4,
+                                         num_layers=1, num_heads=1, max_len=4)
+            memory = encoder.encode(np.array([CLS, SEP]))
             assert float(head.loss(memory, gold).data) < 1e-9
 
     def test_out_of_range_gold_rejected(self):

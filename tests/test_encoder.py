@@ -6,7 +6,7 @@ import pytest
 
 from labelset import encoder as enc
 from labelset import tensor as T
-from labelset.errors import ConfigError, ContractError, VocabularyError
+from labelset.errors import ContractError, VocabularyError
 
 
 @pytest.fixture(autouse=True)
@@ -23,10 +23,7 @@ class TestTokenizer:
     def test_vocabulary_reserves_specials_and_first_occurrence(self):
         vocab = enc.TokenVocabulary.build(["b a", "c a"])
         assert vocab.size == 7
-        assert vocab.token_id("b") == 4
-        assert vocab.token_id("a") == 5
-        assert vocab.token_id("c") == 6
-        assert vocab.token_id("zzz") == enc.OOV
+        npt.assert_array_equal(vocab.encode("b a c zzz"), [enc.CLS, 4, 5, 6, enc.OOV, enc.SEP])
 
     def test_encode_wraps_with_cls_sep(self):
         vocab = enc.TokenVocabulary.build(["hello world"])
@@ -50,22 +47,9 @@ class TestTokenizer:
             enc.TokenVocabulary(["<sep>"])
 
 
-class TestEncoderConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            enc.EncoderConfig(vocab_size=10, d_model=6, num_heads=4)
-        with pytest.raises(ConfigError):
-            enc.EncoderConfig(vocab_size=10, max_len=2)
-        with pytest.raises(ConfigError):
-            enc.EncoderConfig(vocab_size=2)
-        with pytest.raises(ConfigError):
-            enc.EncoderConfig(vocab_size=10, dropout=1.0)
-
-
-def small_encoder(seed=0, **overrides):
-    config = enc.EncoderConfig(vocab_size=12, d_model=8, num_layers=1, num_heads=2,
-                               max_len=10, **overrides)
-    return enc.TransformerEncoder(np.random.default_rng(seed), config)
+def small_encoder(seed=0):
+    return enc.TransformerEncoder(np.random.default_rng(seed), vocab_size=12, d_model=8,
+                                  num_layers=1, num_heads=2, max_len=10)
 
 
 class TestEncode:
@@ -87,7 +71,7 @@ class TestEncode:
         ids = np.array([enc.CLS] + [4] * 13 + [enc.SEP])  # max_len + 5
         assert ids.shape[0] == 15
         out = model.encode(ids)
-        assert out.hidden.shape[0] == model.config.max_len
+        assert out.hidden.shape[0] == model.max_len
         assert model.truncation_count == 1
         # clip keeps CLS at the front and SEP at the end
         clipped = model.clip(ids)

@@ -76,6 +76,13 @@ class TestRunConfig:
             ("cost_mode", "squared"),
             ("gcn_activation", "tanh"),
             ("num_queries", 0),
+            ("max_len", 2),
+            ("decoder_heads", 3),
+            ("encoder_layers", 0),
+            ("decoder_layers", 0),
+            ("gcn_layers", 0),
+            ("dropout", -0.1),
+            ("p_neighbor", 0.0),
         ]:
             with pytest.raises(ConfigError):
                 tiny_config(**{field: value})

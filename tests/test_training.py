@@ -245,6 +245,25 @@ class TestTrainingLoop:
             if n.startswith("encoder."):
                 assert np.array_equal(p.data, before[n])
 
+    def test_frozen_encoder_takes_no_gradient(self, monkeypatch):
+        corpus = tiny_corpus()
+        model = build_model(tiny_config(epochs=1, freeze_encoder=True), corpus)
+        recorded = []
+        encode = model.encode
+
+        def counting(*args, **kwargs):
+            before = len(T.active_tape())
+            memory = encode(*args, **kwargs)
+            if kwargs.get("train"):
+                recorded.append(len(T.active_tape()) - before)
+            return memory
+
+        monkeypatch.setattr(model, "encode", counting)
+        train(model, corpus)
+        assert recorded and set(recorded) == {0}
+        encoder = [p for n, p in model.named_parameters().items() if n.startswith("encoder.")]
+        assert encoder and all(p.grad is None for p in encoder)
+
     def test_divergence_raises_and_keeps_best(self, tmp_path, monkeypatch):
         corpus = tiny_corpus()
         cfg = tiny_config(epochs=5)
