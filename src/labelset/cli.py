@@ -182,7 +182,6 @@ def cmd_train(args) -> int:
         "best_epoch": result.best_epoch,
         "best_valid_f1": result.best_valid_f1,
         "corpus_counters": corpus.counters,
-        # records, not encoder.truncation_count, which counts every clip of every pass
         "truncated_train_records": sum(len(s.tokens) > config.max_len for s in corpus.train),
     })
     print(f"best valid F1 {result.best_valid_f1:.4f} at epoch {result.best_epoch}")

@@ -311,7 +311,7 @@ def batch_iterator(dataset: Dataset, batch_size: int,
 
     ``clip`` (if given) maps a token row to a possibly shorter row before
     padding; the encoder's truncating clip goes here so over-length
-    sentences are counted exactly once per epoch.
+    sentences are cut before the batch is padded to one width.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")

@@ -3,10 +3,10 @@
 The decoder receives m query embeddings and the encoded sentence (or a
 batch of them, which the queries broadcast against), runs them through
 transformer blocks (self-attention across queries, cross-attention into the
-sentence), and reads out one probability distribution over the K labels plus
-a reserved no-label class per query, all in a single parallel pass.  Queries
-carry no positional encoding, so permuting them permutes the outputs and
-nothing else.
+sentence), and reads out one distribution over the K labels plus a reserved
+no-label class per query, as log-probabilities, all in a single parallel
+pass.  Queries carry no positional encoding, so permuting them permutes the
+outputs and nothing else.
 """
 
 from __future__ import annotations
@@ -18,33 +18,31 @@ from scipy.special import expit
 
 from . import nn, tensor as T
 from .encoder import EncodedSentence
-from .errors import ConfigError, ContractError, NumericDomainError
+from .errors import ConfigError, ContractError
 
 NULL_OFFSET = 1  # the no-label class sits at index K, one past the labels
 
 
 @dataclass
 class PredictionSet:
-    """m rows of label probabilities, one per query slot (per sentence)."""
+    """m rows of label log-probabilities, one per query slot (per sentence)."""
 
-    distributions: T.Tensor  # (..., m, K+1)
+    log_probs: T.Tensor  # (..., m, K+1)
 
     def __post_init__(self):
-        data = self.distributions.data
+        data = self.log_probs.data
         if data.ndim < 2:
             raise ContractError(f"prediction set needs (..., m, K+1) rows, got shape {data.shape}")
-        if (data <= 0.0).any():
-            raise ContractError("prediction rows must be strictly positive")
-        if np.abs(data.sum(axis=-1) - 1.0).max() > 1e-12:
-            raise ContractError("prediction rows must each sum to 1")
+        if not (np.abs(np.exp(data).sum(axis=-1) - 1.0) <= 1e-12).all():
+            raise ContractError("prediction rows must each exponentiate to a sum of 1")
 
     @property
     def num_queries(self) -> int:
-        return self.distributions.shape[-2]
+        return self.log_probs.shape[-2]
 
     @property
     def null_index(self) -> int:
-        return self.distributions.shape[-1] - NULL_OFFSET
+        return self.log_probs.shape[-1] - NULL_OFFSET
 
 
 class SetDecoder(nn.Module):
@@ -69,11 +67,7 @@ class SetDecoder(nn.Module):
         x = queries
         for layer in self.layers:
             x = layer(x, memory=memory.hidden, memory_bias=memory_bias, rng=rng, train=train)
-        probs = T.softmax(self.head(self.final_norm(x)))
-        if not (probs.data > 0.0).all():
-            # a logit gap above about 745 underflows exp to an exact 0
-            raise NumericDomainError("softmax underflowed to 0 in a slot distribution")
-        return PredictionSet(distributions=probs)
+        return PredictionSet(T.log_softmax(self.head(self.final_norm(x))))
 
 
 def label_sets(chosen: np.ndarray):
@@ -86,7 +80,7 @@ def label_sets(chosen: np.ndarray):
 def predict_labels(ps: PredictionSet):
     """Argmax each row, drop rows that chose the no-label class, deduplicate
     (per sentence, as ``label_sets``)."""
-    winners = ps.distributions.data.argmax(axis=-1)
+    winners = ps.log_probs.data.argmax(axis=-1)
     return label_sets((winners[..., None] == np.arange(ps.null_index)).any(axis=-2))
 
 

@@ -1,4 +1,5 @@
-"""Pairwise-overlap penalty over the decoder's output distributions.
+"""Pairwise-overlap penalty over the decoder's output distributions, read
+from their log-probabilities.
 
 The Bhattacharyya coefficient of two distributions is the sum over classes
 of the square root of the product of their probabilities: 1 when they are
@@ -12,9 +13,10 @@ so the sum over pairs factors per class c through S_c = Σ_i √p_ic:
 
     Σ_{i<j} BC(p_i, p_j) = ½ · Σ_c [S_c² − Σ_i fl(√p_ic)²],
 
-which costs O(mK) instead of O(m²K).  ``bc_penalty`` takes S_c and the
-squared term with correctly rounded sums over the slots (``math.fsum``), so
-no permutation of the slots changes a bit; it subtracts the rounded squares
+which costs O(mK) instead of O(m²K).  ``bc_penalty`` takes √p = exp(½·log p),
+which may underflow to 0 harmlessly.  It takes S_c and the squared term
+with correctly rounded sums over the slots (``math.fsum``), so no
+permutation of the slots changes a bit; it subtracts the rounded squares
 rather than Σ_i p_ic, so a class that only one slot supports adds exactly 0;
 and it clamps each class term at 0, where near-disjoint rows could
 otherwise round the difference below zero.
@@ -56,22 +58,22 @@ def bc_penalty(ps: PredictionSet) -> T.Tensor:
     The value is ½ · Σ_c max(S_c² − Σ_i fl(√p_ic)², 0) with S_c = Σ_i √p_ic,
     both sums over slots correctly rounded, so it is exactly non-negative
     and bit-stable under any permutation of the slots.  The gradient is that
-    of the unclamped sum, S_c / (2·√max(p_ic, SQRT_FLOOR)) − ½; the clamp
-    only removes rounding below zero.
+    of the unclamped sum with respect to the log-probabilities,
+    ½·√p_ic·(S_c − √p_ic), which is finite everywhere; the clamp only
+    removes rounding below zero.
     """
-    probs = ps.distributions
+    log_probs = ps.log_probs
     if ps.num_queries < 2:
-        return T.Tensor(np.zeros(probs.shape[:-2]))
-    roots = np.sqrt(probs.data)
+        return T.Tensor(np.zeros(log_probs.shape[:-2]))
+    roots = np.exp(0.5 * log_probs.data)
     sums, squares = T.fsum(np.stack([roots, roots * roots]), axis=-2).data
     per_class = np.maximum(sums * sums - squares, 0.0)
     value = 0.5 * T.fsum(per_class, axis=-1).data
 
     def vjp(g):
-        slope = sums[..., None, :] / (2.0 * np.sqrt(np.maximum(probs.data, SQRT_FLOOR))) - 0.5
-        return g[..., None, None] * slope
+        return g[..., None, None] * (0.5 * roots * (sums[..., None, :] - roots))
 
-    return T.custom_op(probs, value, vjp)
+    return T.custom_op(log_probs, value, vjp)
 
 
 class Objective(NamedTuple):

@@ -77,7 +77,6 @@ class TransformerEncoder(nn.Module):
         super().__init__()
         self.vocab_size = vocab_size
         self.max_len = max_len
-        self.truncation_count = 0
         d = d_model
         self.token_embed = self.register("token_embed", nn.uniform_init(rng, d, (vocab_size, d)))
         self.pos_embed = self.register("pos_embed", nn.uniform_init(rng, d, (max_len, d)))
@@ -88,17 +87,12 @@ class TransformerEncoder(nn.Module):
         self.final_norm = self.add_child("final_norm", nn.LayerNorm(d))
 
     def clip(self, tokens: np.ndarray) -> np.ndarray:
-        """Right-truncate an over-length sequence, keeping CLS and SEP.
-
-        ``truncation_count`` grows by one on every call that clips, so a
-        record clipped in each epoch and each evaluation pass counts once
-        per pass, not once per sentence."""
+        """Right-truncate an over-length sequence, keeping CLS and SEP."""
         tokens = np.asarray(tokens, dtype=np.intp)
         if tokens.shape[-1] <= self.max_len:
             return tokens
         if tokens.ndim != 1:
             raise ContractError("clip batch rows before padding them to one width")
-        self.truncation_count += 1
         return np.concatenate([tokens[: self.max_len - 1], tokens[-1:]])
 
     def encode(self, tokens: np.ndarray, attention_mask: np.ndarray | None = None,

@@ -1,11 +1,13 @@
 """Optimal gold-to-slot assignment and the resulting set loss.
 
 Gold label sets are padded with the no-label class up to the slot count m.
-The cost of putting gold entry i on slot j is the negated probability that
-slot j gives gold label i, zero for padded entries.  A minimum-cost
-permutation is found with one assignment solve over the real gold rows; the
-loss then sums negated log-probabilities along that permutation, every slot
-included, with the permutation held constant during backpropagation.
+The decoder gives each slot's distribution as log-probabilities.  The cost of
+putting gold entry i on slot j is the negated probability (or, under the
+``log_prob`` cost, log-probability) that slot j gives gold label i, zero for
+padded entries.  A minimum-cost permutation is found with one assignment
+solve over the real gold rows; the loss then sums negated log-probabilities
+along that permutation, every slot included, with the permutation held
+constant during backpropagation.
 
 Ties between equally cheap permutations are broken toward the
 lexicographically smallest one, so padded entries (whose rows are all zero
@@ -56,12 +58,14 @@ def pad_gold(labels, num_slots: int, null_index: int) -> np.ndarray:
     return np.array(distinct + [null_index] * (num_slots - len(distinct)), dtype=np.intp)
 
 
-def match_cost(gold: np.ndarray, probs: np.ndarray, cost_mode: str = "prob") -> np.ndarray:
-    """cost[i][j]: putting gold entry i on slot j.  Padded entries cost 0
-    anywhere; real entries cost the negated (log-)probability."""
+def match_cost(gold: np.ndarray, log_probs: np.ndarray, cost_mode: str = "prob") -> np.ndarray:
+    """cost[i][j]: putting gold entry i on slot j, from (m, K+1) slot
+    log-probabilities.  Padded entries cost 0 anywhere; real entries cost
+    the negated probability, or the negated log-probability under
+    ``log_prob``."""
     if cost_mode not in COST_MODES:
         raise ContractError(f"cost_mode must be one of {COST_MODES}, got {cost_mode!r}")
-    num_slots, num_classes = probs.shape
+    num_slots, num_classes = log_probs.shape
     null_index = num_classes - 1
     gold = np.asarray(gold, dtype=np.intp)
     if gold.shape != (num_slots,):
@@ -70,8 +74,8 @@ def match_cost(gold: np.ndarray, probs: np.ndarray, cost_mode: str = "prob") -> 
         raise ContractError(f"gold label out of range 0..{null_index}")
     cost = np.zeros((num_slots, num_slots), dtype=np.float64)
     real = gold != null_index
-    picked = probs[:, gold[real]].T  # (num real golds, num_slots)
-    cost[real] = -np.log(picked) if cost_mode == "log_prob" else -picked
+    picked = log_probs[:, gold[real]].T  # (num real golds, num_slots)
+    cost[real] = -picked if cost_mode == "log_prob" else -np.exp(picked)
     return cost
 
 
@@ -191,13 +195,13 @@ def set_loss(gold: np.ndarray, ps: PredictionSet, cost_mode: str = "prob") -> T.
     gradients flow only through the picked log-probabilities.  A batch with
     a gold row per sentence gives one loss per sentence.
     """
-    probs = ps.distributions
+    log_probs = ps.log_probs
     gold = np.asarray(gold, dtype=np.intp)
-    if gold.shape != probs.shape[:-1]:
-        raise ContractError(f"gold shaped {gold.shape} does not match predictions {probs.shape}")
-    rows = probs.data.reshape((-1,) + probs.shape[-2:])
+    if gold.shape != log_probs.shape[:-1]:
+        raise ContractError(f"gold shaped {gold.shape} does not match "
+                            f"predictions {log_probs.shape}")
+    rows = log_probs.data.reshape((-1,) + log_probs.shape[-2:])
     slots = np.stack([hungarian(match_cost(g, p, cost_mode)).slot_for_gold
                       for g, p in zip(gold.reshape(-1, gold.shape[-1]), rows)]).reshape(gold.shape)
     batch_index = tuple(np.indices(gold.shape, sparse=True)[:-1])
-    picked = T.gather(probs, batch_index + (slots, gold))
-    return -(T.log(picked).sum(axis=-1))
+    return -(T.gather(log_probs, batch_index + (slots, gold)).sum(axis=-1))

@@ -10,6 +10,7 @@ reproducible run to run.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -57,6 +58,19 @@ class RunConfig:
     freeze_encoder: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            # annotations are strings here: "int", "float", "str | None", ...
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if value is None and optional:
+                continue
+            allowed = {"int": int, "float": (int, float), "bool": bool, "str": str}[kind]
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, allowed):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.d_model <= 0:
             raise ConfigError("d_model must be positive")
         for dim_name in ("encoder_layers", "encoder_heads", "decoder_layers",
@@ -92,10 +106,7 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**raw)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -176,16 +187,16 @@ class Model(nn.Module):
         return self.decoder.decode(queries, memory, rng=rng, train=train)
 
     def predict(self, tokens: np.ndarray) -> set[int]:
-        with T.no_grad():
-            return self._labels(self.encode(tokens), self.queries())
+        """The label set of one token row."""
+        return self.predict_many([tokens])[0]
 
     def predict_many(self, token_rows) -> list[set[int]]:
         """Label sets of many token rows, in input order.
 
         Rows are clipped, then batched only with rows of the same length, at
-        most ``batch_size`` at a time, so no row is padded and each set is
-        the one ``predict`` gives for that row alone, bit for bit.  The label
-        queries are computed once per call."""
+        most ``batch_size`` at a time, so no row is padded and no row's
+        labels depend on the other rows.  The label queries are computed
+        once per call."""
         rows = [self.encoder.clip(row) for row in token_rows]
         by_length: dict[int, list[int]] = {}
         for i, row in enumerate(rows):
@@ -197,14 +208,11 @@ class Model(nn.Module):
                 for start in range(0, len(group), self.config.batch_size):
                     chunk = group[start:start + self.config.batch_size]
                     memory = self.encode(np.stack([rows[i] for i in chunk]))
-                    for i, labels in zip(chunk, self._labels(memory, queries)):
-                        out[i] = labels
+                    labels = (self.bce.predict(memory) if self.bce is not None
+                              else predict_labels(self.decode(queries, memory)))
+                    for i, row_labels in zip(chunk, labels):
+                        out[i] = row_labels
         return out
-
-    def _labels(self, memory: EncodedSentence, queries: T.Tensor | None):
-        if self.bce is not None:
-            return self.bce.predict(memory)
-        return predict_labels(self.decode(queries, memory))
 
     def trainable_parameters(self) -> dict[str, T.Tensor]:
         """The parameters that take gradients: all but a frozen encoder's."""

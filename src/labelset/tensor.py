@@ -14,7 +14,9 @@ buffer from creation, and it accumulates until the optimizer clears it.
 
 At the model's sizes the cost is per node, not per flop, so ``linear``
 (matrix product plus bias) and ``attention`` (head split, scores, mask,
-softmax, weighted sum, head merge) are fused: one node each.
+softmax, weighted sum, head merge) are fused: one node each.  Output
+distributions are taken as log-probabilities (``log_softmax``), which stay
+finite where a probability would underflow to 0.
 """
 
 from __future__ import annotations
@@ -279,17 +281,22 @@ def _row_softmax(x: np.ndarray) -> np.ndarray:
     return exped / np.add.reduce(exped, axis=-1, keepdims=True)
 
 
-def softmax(x) -> Tensor:
-    """Softmax over the last axis, computed with max subtraction."""
+def log_softmax(x) -> Tensor:
+    """Log of the softmax over the last axis: max subtraction, then
+    log-sum-exp, so a logit gap of 1,000 gives a log-probability of -1000,
+    not the log of a probability that underflowed to 0."""
     x = as_tensor(x)
     if x.ndim < 1 or x.shape[-1] < 1:
-        raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
-    y = _row_softmax(x.data)
+        raise ShapeError(f"log_softmax needs a non-empty last axis, got shape {x.shape}")
+    if not np.isfinite(x.data).all():
+        raise NumericDomainError("log_softmax input contains NaN or Inf")
+    shifted = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
+    out = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
     def backward_fn(g):
-        _accumulate(x, (g - (g * y).sum(axis=-1, keepdims=True)) * y)
+        _accumulate(x, g - np.exp(out) * np.add.reduce(g, axis=-1, keepdims=True))
 
-    return _record(y, (x,), backward_fn)
+    return _record(out, (x,), backward_fn)
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -341,16 +348,6 @@ def attention(q, k, v, num_heads: int, bias=None) -> Tensor:
         _accumulate(v, _unbroadcast(merge(np.matmul(np.swapaxes(weights, -1, -2), gh)), v.data.shape))
 
     return _record(merge(np.matmul(weights, vh)), (q, k, v), backward_fn)
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.log(x.data)
-
-    def backward_fn(g):
-        _accumulate(x, g / x.data)
-
-    return _record(out, (x,), backward_fn)
 
 
 def sqrt_clamped(x, floor: float = 1e-12) -> Tensor:

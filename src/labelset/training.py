@@ -161,9 +161,9 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
     """Optimize the model, tracking the best validation micro-F1.
 
     Writes the best checkpoint and a JSONL epoch log under ``out_dir`` when
-    given.  A non-finite batch loss, NaN/Inf met anywhere in an epoch's
-    training or validation, or a slot probability that underflows to 0,
-    aborts with ``TrainingDiverged`` and the best checkpoint already on disk.
+    given.  A non-finite batch loss, or NaN/Inf met anywhere in an epoch's
+    training or validation, aborts with ``TrainingDiverged`` and the best
+    checkpoint already on disk.
     """
     config = model.config
     shuffle_rng = np.random.default_rng(config.seed + 1)
@@ -194,7 +194,7 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
                 T.reset_tape()
                 valid_report = evaluate(model, corpus.valid)
             except NumericDomainError as exc:
-                # parameters blown up by an update reach softmax or matching
+                # parameters blown up by an update reach a softmax or matching
                 # as NaN/Inf before any loss is non-finite
                 kept = (f"best checkpoint is from epoch {result.best_epoch}"
                         if result.best_epoch > 0 else "no checkpoint was saved")

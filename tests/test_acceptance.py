@@ -37,7 +37,7 @@ from labelset.training import evaluate, run_training
 def random_prediction_set(rng, num_slots, num_classes) -> PredictionSet:
     logits = rng.normal(size=(num_slots, num_classes))
     expz = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return PredictionSet(T.Tensor(expz / expz.sum(axis=-1, keepdims=True)))
+    return PredictionSet(T.Tensor(np.log(expz / expz.sum(axis=-1, keepdims=True))))
 
 
 def test_criterion_1_matching_oracle():
@@ -191,7 +191,7 @@ def test_criterion_5_bhattacharyya_bounds():
         else:
             probs = np.stack([rng.dirichlet(np.ones(num_classes))
                               for _ in range(num_slots)])
-        ps = PredictionSet(T.Tensor(probs))
+        ps = PredictionSet(T.Tensor(np.log(probs)))
         with T.no_grad():
             penalty = float(bc_penalty(ps).data)
         bound = num_slots * (num_slots - 1) / 2.0

@@ -121,6 +121,17 @@ class TestExitCodes:
         write_config(cfg, corpus_dir, out_dir=str(tmp_path / "out"))
         assert main(["graph", "--config", str(cfg), "--tau", "7.0"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value", [
+        ("d_model", 16.0), ("epochs", 1.0), ("batch_size", 2.5), ("seed", -1), ("seed", 1.5),
+        ("learning_rate", float("inf")), ("bc_weight", float("nan")),
+        ("use_gcn", "no"), ("tau", True),
+    ])
+    def test_wrongly_typed_config_value_is_config_error(self, tmp_path, corpus_dir, key, value):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, corpus_dir, out_dir=str(tmp_path / "out"), **{key: value})
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "best.npz").exists()
+
     def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
         import labelset.cli as cli
 

@@ -7,7 +7,7 @@ import pytest
 from labelset import decoder as dec
 from labelset import tensor as T
 from labelset.encoder import CLS, SEP, TransformerEncoder
-from labelset.errors import ConfigError, ContractError, NumericDomainError
+from labelset.errors import ConfigError, ContractError
 
 
 @pytest.fixture(autouse=True)
@@ -34,9 +34,9 @@ class TestDecode:
         rng = np.random.default_rng(2)
         queries = T.Tensor(rng.standard_normal((3, 8)))
         ps = model.decode(queries, encoded())
-        assert ps.distributions.shape == (3, 8)
-        npt.assert_allclose(ps.distributions.data.sum(axis=1), np.ones(3), rtol=0, atol=1e-12)
-        assert (ps.distributions.data > 0).all()
+        assert ps.log_probs.shape == (3, 8)
+        npt.assert_allclose(np.exp(ps.log_probs.data).sum(axis=1), np.ones(3), rtol=0, atol=1e-12)
+        assert (ps.log_probs.data < 0).all()
         assert ps.null_index == 7
 
     def test_query_permutation_equivariance(self):
@@ -45,15 +45,15 @@ class TestDecode:
         queries = rng.standard_normal((4, 8))
         perm = np.array([2, 0, 3, 1])
         with T.no_grad():
-            base = model.decode(T.Tensor(queries), encoded()).distributions.data
-            shuffled = model.decode(T.Tensor(queries[perm]), encoded()).distributions.data
+            base = model.decode(T.Tensor(queries), encoded()).log_probs.data
+            shuffled = model.decode(T.Tensor(queries[perm]), encoded()).log_probs.data
         npt.assert_allclose(shuffled, base[perm], rtol=0, atol=1e-9)
 
     def test_minimal_memory_still_valid(self):
         model = make_decoder()
         queries = T.Tensor(np.random.default_rng(4).standard_normal((3, 8)))
         ps = model.decode(queries, encoded(ids=(CLS, SEP)))
-        npt.assert_allclose(ps.distributions.data.sum(axis=1), np.ones(3), atol=1e-12)
+        npt.assert_allclose(np.exp(ps.log_probs.data).sum(axis=1), np.ones(3), atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         model = make_decoder(m=2)
@@ -68,33 +68,38 @@ class TestDecode:
         queries = T.Tensor(np.random.default_rng(5).standard_normal((3, 8)))
         memory = encoded()
         with T.no_grad():
-            a = model.decode(queries, memory).distributions.data
-            b = model.decode(queries, memory).distributions.data
+            a = model.decode(queries, memory).log_probs.data
+            b = model.decode(queries, memory).log_probs.data
         assert a.tobytes() == b.tobytes()
 
-    def test_underflowed_row_is_a_numeric_domain_error(self):
-        # a logit gap of 1000 makes softmax return an exact 0
+    def test_saturated_row_stays_finite(self):
+        # a logit gap of 1000 would underflow a probability to an exact 0;
+        # its log-probability is about -1000
         model = make_decoder()
         model.head.bias.data[-1] = 1000.0
         queries = T.Tensor(np.random.default_rng(6).standard_normal((3, 8)))
-        with pytest.raises(NumericDomainError, match="underflowed"):
-            model.decode(queries, encoded())
+        log_probs = model.decode(queries, encoded()).log_probs.data
+        assert np.isfinite(log_probs).all()
+        assert (log_probs[:, :-1] < -990.0).all()
+        npt.assert_allclose(log_probs[:, -1], 0.0, rtol=0, atol=1e-300)
 
 
 class TestPredictionSetValidation:
-    def test_rejects_nonpositive_rows(self):
-        bad = T.Tensor(np.array([[0.0, 1.0], [0.5, 0.5]]))
+    def test_rejects_nan_rows(self):
+        # a probability of exactly 0 (log-probability -inf) is a valid row
+        dec.PredictionSet(T.Tensor(np.array([[-np.inf, 0.0], [np.log(0.5), np.log(0.5)]])))
+        bad = T.Tensor(np.array([[np.nan, 0.0], [np.log(0.5), np.log(0.5)]]))
         with pytest.raises(ContractError):
-            dec.PredictionSet(distributions=bad)
+            dec.PredictionSet(bad)
 
     def test_rejects_unnormalized_rows(self):
-        bad = T.Tensor(np.array([[0.4, 0.4]]))
+        bad = T.Tensor(np.log(np.array([[0.4, 0.4]])))
         with pytest.raises(ContractError):
-            dec.PredictionSet(distributions=bad)
+            dec.PredictionSet(bad)
 
 
 def hand_prediction_set(rows):
-    return dec.PredictionSet(distributions=T.Tensor(np.asarray(rows, dtype=np.float64)))
+    return dec.PredictionSet(T.Tensor(np.log(np.asarray(rows, dtype=np.float64))))
 
 
 class TestPredictLabels:

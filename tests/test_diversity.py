@@ -58,16 +58,16 @@ class TestPairCoefficient:
 
 class TestPenalty:
     def test_single_row_has_no_pairs(self):
-        ps = PredictionSet(T.Tensor(np.array([[0.5, 0.5]])))
+        ps = PredictionSet(T.Tensor(np.log(np.array([[0.5, 0.5]]))))
         assert float(diversity.bc_penalty(ps).data) == 0.0
 
     def test_identical_rows_hit_the_bound(self):
         row = np.array([0.25, 0.25, 0.5])
-        ps = PredictionSet(T.Tensor(np.tile(row, (3, 1))))
+        ps = PredictionSet(T.Tensor(np.log(np.tile(row, (3, 1)))))
         npt.assert_allclose(float(diversity.bc_penalty(ps).data), 3.0, rtol=0, atol=1e-12)
 
     def test_two_rows_equal_pair_value(self):
-        ps = PredictionSet(T.Tensor(np.array([[0.5, 0.5], [0.8, 0.2]])))
+        ps = PredictionSet(T.Tensor(np.log(np.array([[0.5, 0.5], [0.8, 0.2]]))))
         pair = float(diversity.bhattacharyya_pair([0.5, 0.5], [0.8, 0.2]).data)
         npt.assert_allclose(float(diversity.bc_penalty(ps).data), pair, rtol=0, atol=1e-15)
 
@@ -76,7 +76,7 @@ class TestPenalty:
         for _ in range(50):
             m = int(rng.integers(2, 6))
             rows = normalized_rows(rng, m, 5)
-            ps = PredictionSet(T.Tensor(rows))
+            ps = PredictionSet(T.Tensor(np.log(rows)))
             value = float(diversity.bc_penalty(ps).data)
             limit = m * (m - 1) / 2
             assert 0.0 <= value <= limit + 1e-12
@@ -87,28 +87,29 @@ class TestPenalty:
     def test_exact_symmetry_under_row_permutation(self):
         rng = np.random.default_rng(2)
         rows = normalized_rows(rng, 5, 6)
-        base = float(diversity.bc_penalty(PredictionSet(T.Tensor(rows))).data)
+        base = float(diversity.bc_penalty(PredictionSet(T.Tensor(np.log(rows)))).data)
         for _ in range(10):
             perm = rng.permutation(5)
-            shuffled = float(diversity.bc_penalty(PredictionSet(T.Tensor(rows[perm]))).data)
+            shuffled = float(diversity.bc_penalty(PredictionSet(T.Tensor(np.log(rows[perm])))).data)
             assert shuffled == base
 
     def test_gradient_separates_nearly_identical_rows(self):
         # two near-identical softmax rows: one descent step lowers overlap
         logits = T.Tensor(np.array([[1.0, 2.0, 0.5], [1.0, 2.0, 0.5 + 1e-4]]),
                           requires_grad=True)
-        ps = PredictionSet(T.softmax(logits))
+        ps = PredictionSet(T.log_softmax(logits))
         before = float(diversity.bc_penalty(ps).data)
-        T.backward(diversity.bc_penalty(PredictionSet(T.softmax(logits))))
+        T.backward(diversity.bc_penalty(PredictionSet(T.log_softmax(logits))))
         logits.data -= 0.5 * logits.grad
         T.reset_tape()
-        after = float(diversity.bc_penalty(PredictionSet(T.softmax(logits))).data)
+        after = float(diversity.bc_penalty(PredictionSet(T.log_softmax(logits))).data)
         assert after < before
 
     def test_gradient_check(self):
         rng = np.random.default_rng(3)
         logits = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        check_gradients(lambda ls: diversity.bc_penalty(PredictionSet(T.softmax(ls[0]))), [logits])
+        check_gradients(lambda ls: diversity.bc_penalty(PredictionSet(T.log_softmax(ls[0]))),
+                        [logits])
 
 
 def pair_sum(rows):
@@ -130,7 +131,7 @@ class TestFactoredPenalty:
         for classes in (2, 9, 33, 65):
             for scale in (0.1, 1.0, 4.0):
                 rows = softmax_rows(rng, (3, m, classes), scale)
-                value = diversity.bc_penalty(PredictionSet(T.Tensor(rows))).data
+                value = diversity.bc_penalty(PredictionSet(T.Tensor(np.log(rows)))).data
                 assert value.shape == (3,)
                 npt.assert_allclose(value, pair_sum(rows), rtol=1e-12, atol=0)
 
@@ -139,7 +140,7 @@ class TestFactoredPenalty:
         for m, classes in ((2, 2), (4, 6), (8, 9), (32, 65)):
             rows = np.full((m, classes), 1e-30)
             rows[np.arange(m), np.arange(m)] = 1.0 - (classes - 1) * 1e-30
-            value = float(diversity.bc_penalty(PredictionSet(T.Tensor(rows))).data)
+            value = float(diversity.bc_penalty(PredictionSet(T.Tensor(np.log(rows)))).data)
             assert 0.0 <= value < 1e-12
 
     def test_classes_one_slot_supports_add_exact_zero(self):
@@ -154,7 +155,7 @@ class TestFactoredPenalty:
             split = rng.random(m)
             rows[np.arange(m), 2 * np.arange(m)] = split
             rows[np.arange(m), 2 * np.arange(m) + 1] = 1.0 - split
-            value = float(diversity.bc_penalty(PredictionSet(T.Tensor(rows))).data)
+            value = float(diversity.bc_penalty(PredictionSet(T.Tensor(np.log(rows)))).data)
             assert 0.0 < value < 1e-290
 
     def test_gradient_check_on_a_batch(self):
@@ -162,38 +163,38 @@ class TestFactoredPenalty:
         logits = T.Tensor(rng.standard_normal((2, 5, 7)), requires_grad=True)
         probe = T.Tensor(np.array([0.7, -1.3]))
         check_gradients(
-            lambda ls: (diversity.bc_penalty(PredictionSet(T.softmax(ls[0]))) * probe).sum(),
+            lambda ls: (diversity.bc_penalty(PredictionSet(T.log_softmax(ls[0]))) * probe).sum(),
             [logits])
 
     def test_gradient_in_p_equals_the_pair_sum_gradient(self):
         # through softmax a constant shift of dP/dp cancels, so compare the
-        # gradient in p itself with the pair-by-pair derivative
+        # gradient in log p itself with the pair-by-pair derivative times p
         rng = np.random.default_rng(11)
         rows = softmax_rows(rng, (2, 16, 9), 1.0)
         probe = np.array([0.7, -1.3])
-        leaf = T.Tensor(rows, requires_grad=True)
+        leaf = T.Tensor(np.log(rows), requires_grad=True)
         T.backward((diversity.bc_penalty(PredictionSet(leaf)) * T.Tensor(probe)).sum())
         left, right = np.triu_indices(16, k=1)
         roots = np.sqrt(rows)
         want = np.zeros_like(rows)
         np.add.at(want, (Ellipsis, left, slice(None)), roots[..., right, :] / (2 * roots[..., left, :]))
         np.add.at(want, (Ellipsis, right, slice(None)), roots[..., left, :] / (2 * roots[..., right, :]))
-        npt.assert_allclose(leaf.grad, probe[:, None, None] * want, rtol=1e-12, atol=0)
+        npt.assert_allclose(leaf.grad, probe[:, None, None] * want * rows, rtol=1e-12, atol=0)
 
     def test_same_bits_under_any_slot_permutation_at_m32(self):
         rng = np.random.default_rng(8)
         rows = softmax_rows(rng, (4, 32, 65), 2.0)
-        base = diversity.bc_penalty(PredictionSet(T.Tensor(rows))).data
+        base = diversity.bc_penalty(PredictionSet(T.Tensor(np.log(rows)))).data
         for _ in range(10):
             shuffled = np.stack([sample[rng.permutation(32)] for sample in rows])
-            value = diversity.bc_penalty(PredictionSet(T.Tensor(shuffled))).data
+            value = diversity.bc_penalty(PredictionSet(T.Tensor(np.log(shuffled)))).data
             assert value.tobytes() == base.tobytes()
 
     def test_batch_of_k64_records_one_tape_node(self):
         # tripwire: the pair-by-pair form recorded 5 nodes (two gathers,
         # their product, the square root and the sum)
         rng = np.random.default_rng(9)
-        leaf = T.Tensor(softmax_rows(rng, (8, 32, 65), 1.0), requires_grad=True)
+        leaf = T.Tensor(np.log(softmax_rows(rng, (8, 32, 65), 1.0)), requires_grad=True)
         ps = PredictionSet(leaf)
         before = len(T.active_tape())
         diversity.bc_penalty(ps)
@@ -205,25 +206,25 @@ class TestTotalLoss:
         rng = np.random.default_rng(4)
         rows = normalized_rows(rng, 3, 5)
         gold = matching.pad_gold([0, 2], 3, null_index=4)
-        ps = PredictionSet(T.Tensor(rows))
+        ps = PredictionSet(T.Tensor(np.log(rows)))
         combined = float(diversity.total_loss(gold, ps, bc_weight=0.0).data)
         alone = float(matching.set_loss(gold, ps).data)
         assert combined == alone
 
     def test_worked_combined_value(self):
         # assignment part ln 8 plus one overlap pair, weight 1
-        ps = PredictionSet(T.Tensor(np.array([
+        rows = np.array([
             [0.10, 0.50, 0.40],
             [0.45, 0.30, 0.25],
-        ])))
+        ])
+        ps = PredictionSet(T.Tensor(np.log(rows)))
         gold = np.array([1, 2])
         value = float(diversity.total_loss(gold, ps, bc_weight=1.0).data)
-        pair = float(diversity.bhattacharyya_pair(ps.distributions.data[0],
-                                                  ps.distributions.data[1]).data)
+        pair = float(diversity.bhattacharyya_pair(rows[0], rows[1]).data)
         npt.assert_allclose(value, np.log(8.0) + pair, rtol=0, atol=1e-12)
 
     def test_negative_weight_rejected(self):
-        ps = PredictionSet(T.Tensor(np.array([[0.5, 0.5]])))
+        ps = PredictionSet(T.Tensor(np.log(np.array([[0.5, 0.5]]))))
         with pytest.raises(ContractError):
             diversity.total_loss(np.array([1]), ps, bc_weight=-0.5)
 
@@ -233,7 +234,7 @@ class TestTotalLoss:
         gold = np.array([1, 3, 3])
 
         def build(ls):
-            ps = PredictionSet(T.softmax(ls[0]))
+            ps = PredictionSet(T.log_softmax(ls[0]))
             return diversity.total_loss(gold, ps, bc_weight=0.3)
 
         check_gradients(build, [logits])

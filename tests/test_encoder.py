@@ -72,7 +72,10 @@ class TestEncode:
         assert ids.shape[0] == 15
         out = model.encode(ids)
         assert out.hidden.shape[0] == model.max_len
-        assert model.truncation_count == 1
+        # a batch is clipped row by row before padding, never as a whole
+        assert model.encode(np.stack([model.clip(ids)] * 2)).hidden.shape[1] == model.max_len
+        with pytest.raises(ContractError, match="before padding"):
+            model.encode(np.stack([ids, ids]))
         # clip keeps CLS at the front and SEP at the end
         clipped = model.clip(ids)
         assert clipped[0] == enc.CLS and clipped[-1] == enc.SEP

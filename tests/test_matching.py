@@ -46,12 +46,12 @@ class TestPadGold:
 class TestMatchCost:
     def test_all_null_gold_is_zero_matrix(self):
         probs = normalized_rows(np.random.default_rng(0), 3, 5)
-        cost = matching.match_cost(np.array([4, 4, 4]), probs)
+        cost = matching.match_cost(np.array([4, 4, 4]), np.log(probs))
         npt.assert_array_equal(cost, np.zeros((3, 3)))
 
     def test_real_entry_is_negated_probability(self):
         probs = np.array([[0.6, 0.2, 0.1, 0.1], [0.1, 0.5, 0.3, 0.1]])
-        cost = matching.match_cost(np.array([0, 2]), probs)
+        cost = matching.match_cost(np.array([0, 2]), np.log(probs))
         npt.assert_allclose(cost[0], [-0.6, -0.1])
         npt.assert_allclose(cost[1], [-0.1, -0.3])
 
@@ -60,12 +60,12 @@ class TestMatchCost:
         for _ in range(20):
             probs = normalized_rows(rng, 4, 6)
             gold = matching.pad_gold(rng.choice(5, size=2, replace=False), 4, null_index=5)
-            cost = matching.match_cost(gold, probs)
+            cost = matching.match_cost(gold, np.log(probs))
             assert (cost <= 0).all() and (cost >= -1).all()
 
     def test_log_prob_mode(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])
-        cost = matching.match_cost(np.array([0, 1]), probs, cost_mode="log_prob")
+        cost = matching.match_cost(np.array([0, 1]), np.log(probs), cost_mode="log_prob")
         npt.assert_allclose(cost[0], [-np.log(0.5), -np.log(0.25)])
         npt.assert_array_equal(cost[1], np.zeros(2))  # gold 1 is the null class here
 
@@ -73,18 +73,18 @@ class TestMatchCost:
         rng = np.random.default_rng(2)
         probs = normalized_rows(rng, 3, 4)
         gold = np.array([1, 3, 3])  # null index 3
-        base = matching.match_cost(gold, probs)
+        base = matching.match_cost(gold, np.log(probs))
         tweaked = probs.copy()
         tweaked[:, [0, 2]] = normalized_rows(rng, 3, 4)[:, [0, 2]]  # labels absent from gold
-        after = matching.match_cost(gold, tweaked)
+        after = matching.match_cost(gold, np.log(tweaked))
         npt.assert_array_equal(base[1:], after[1:])
 
     def test_invalid_mode_and_range(self):
         probs = normalized_rows(np.random.default_rng(3), 2, 3)
         with pytest.raises(ContractError):
-            matching.match_cost(np.array([0, 1]), probs, cost_mode="squared")
+            matching.match_cost(np.array([0, 1]), np.log(probs), cost_mode="squared")
         with pytest.raises(ContractError):
-            matching.match_cost(np.array([0, 7]), probs)
+            matching.match_cost(np.array([0, 7]), np.log(probs))
 
 
 class TestHungarian:
@@ -157,7 +157,7 @@ def assert_same_assignment(a, b):
 class TestTieCertificate:
     def test_uniform_probabilities_fall_back(self, solves):
         probs = np.full((5, 7), 1 / 7)
-        cost = matching.match_cost(matching.pad_gold([0, 2, 4], 5, null_index=6), probs)
+        cost = matching.match_cost(matching.pad_gold([0, 2, 4], 5, null_index=6), np.log(probs))
         result = matching.hungarian(cost)
         assert solves[0] > 1
         assert_same_assignment(result, matching.exhaustive_assignment(cost))
@@ -165,7 +165,7 @@ class TestTieCertificate:
     def test_identical_slot_columns_fall_back(self, solves):
         probs = normalized_rows(np.random.default_rng(8), 4, 6)
         probs[3] = probs[1]
-        cost = matching.match_cost(np.array([0, 1, 3, 4]), probs)
+        cost = matching.match_cost(np.array([0, 1, 3, 4]), np.log(probs))
         result = matching.hungarian(cost)
         assert solves[0] > 1
         assert_same_assignment(result, matching.exhaustive_assignment(cost))
@@ -185,7 +185,7 @@ class TestTieCertificate:
 
     def test_empty_gold_is_identity_without_solves(self, solves):
         probs = normalized_rows(np.random.default_rng(9), 6, 4)
-        cost = matching.match_cost(np.full(6, 3), probs)
+        cost = matching.match_cost(np.full(6, 3), np.log(probs))
         result = matching.hungarian(cost)
         assert solves[0] == 0
         npt.assert_array_equal(result.slot_for_gold, np.arange(6))
@@ -218,7 +218,8 @@ class TestTieCertificate:
                 a, b = rng.choice(m, size=2, replace=False)
                 probs[b] = probs[a]
             cost_mode = matching.COST_MODES[(trial // 2) % 2]
-            cost = matching.match_cost(matching.pad_gold(labels, m, num_labels), probs, cost_mode)
+            gold = matching.pad_gold(labels, m, num_labels)
+            cost = matching.match_cost(gold, np.log(probs), cost_mode)
             assert_same_assignment(matching.hungarian(cost), refine(cost))
         # both paths ran: ties were refined, the rest certified
         assert 0 < refined[0] < trials
@@ -227,17 +228,17 @@ class TestTieCertificate:
 class TestSetLoss:
     def test_single_null_slot_with_confident_null(self):
         eps = 1e-13
-        ps = PredictionSet(T.Tensor(np.array([[eps, eps, 1.0 - 2 * eps]])))
+        ps = PredictionSet(T.Tensor(np.log(np.array([[eps, eps, 1.0 - 2 * eps]]))))
         loss = matching.set_loss(np.array([2]), ps)
         assert abs(float(loss.data)) < 1e-9
 
     def test_worked_log_example(self):
         # gold = [label 1, null]; matching puts gold 1 on the 0.5 slot,
         # leaving the null on the 0.25 slot: -ln 0.5 - ln 0.25 = ln 8
-        ps = PredictionSet(T.Tensor(np.array([
+        ps = PredictionSet(T.Tensor(np.log(np.array([
             [0.10, 0.50, 0.40],
             [0.45, 0.30, 0.25],
-        ])))
+        ]))))
         loss = matching.set_loss(np.array([1, 2]), ps)
         npt.assert_allclose(float(loss.data), np.log(8.0), rtol=0, atol=1e-12)
 
@@ -247,7 +248,7 @@ class TestSetLoss:
             m, classes = 5, 7
             probs = normalized_rows(rng, m, classes)
             labels = rng.choice(classes - 1, size=3, replace=False)
-            ps = PredictionSet(T.Tensor(probs))
+            ps = PredictionSet(T.Tensor(np.log(probs)))
             reference = None
             for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]):
                 gold = matching.pad_gold(labels[perm], m, null_index=classes - 1)
@@ -261,7 +262,8 @@ class TestSetLoss:
         for _ in range(20):
             probs = normalized_rows(rng, 3, 4)
             gold = matching.pad_gold([rng.integers(3)], 3, null_index=3)
-            loss = float(matching.set_loss(np.asarray(gold), PredictionSet(T.Tensor(probs))).data)
+            ps = PredictionSet(T.Tensor(np.log(probs)))
+            loss = float(matching.set_loss(np.asarray(gold), ps).data)
             assert loss > 0.0
 
     def test_gradient_flows_only_through_picked_probabilities(self):
@@ -271,7 +273,7 @@ class TestSetLoss:
         gold = np.array([0, 2, 3])
 
         def build(ls):
-            ps = PredictionSet(T.softmax(ls[0]))
+            ps = PredictionSet(T.log_softmax(ls[0]))
             return matching.set_loss(gold, ps)
 
         check_gradients(build, [logits])
@@ -284,5 +286,5 @@ class TestSetLoss:
         gold = np.stack([matching.pad_gold(rng.choice(num_labels, size=int(rng.integers(0, m + 1)),
                                                       replace=False), m, num_labels)
                          for _ in range(batch)])
-        matching.set_loss(gold, PredictionSet(T.softmax(logits)))
+        matching.set_loss(gold, PredictionSet(T.log_softmax(logits)))
         assert solves[0] <= batch

@@ -54,13 +54,13 @@ class TestPrimitiveGradients:
         for trial in range(25):
             x = leaf(rng, 2, 5)
             probe = T.Tensor(rng.standard_normal((2, 5)))
-            check_gradients(lambda ls: (T.softmax(ls[0]) * probe).sum(), [x])
+            check_gradients(lambda ls: (T.log_softmax(ls[0]) * probe).sum(), [x])
 
     def test_log_sqrt(self):
         rng = np.random.default_rng(5)
         for trial in range(25):
             x = T.Tensor(rng.uniform(0.5, 3.0, size=(4,)), requires_grad=True)
-            check_gradients(lambda ls: T.log(ls[0]).sum(), [x])
+            check_gradients(lambda ls: T.sqrt_clamped(ls[0]).sum(), [x])
 
     def test_relu_leaky_gelu_sigmoid(self):
         rng = np.random.default_rng(6)
@@ -133,7 +133,7 @@ class TestPrimitiveGradients:
             rows = np.arange(3)
             cols = rng.integers(0, 5, size=3)
             check_gradients(
-                lambda ls: -(T.log(T.gather(T.softmax(ls[0]), (rows, cols))).sum()),
+                lambda ls: -(T.gather(T.log_softmax(ls[0]), (rows, cols)).sum()),
                 [logits],
             )
 
@@ -277,26 +277,26 @@ class TestWorkedExamples:
         npt.assert_allclose(w.grad, [2.0, 4.0], rtol=0, atol=0)
 
     def test_softmax_uniform_on_equal_logits(self):
-        p = T.softmax(T.Tensor([3.0, 3.0, 3.0, 3.0]))
-        npt.assert_allclose(p.data, np.full(4, 0.25), atol=1e-15)
+        log_p = T.log_softmax(T.Tensor([3.0, 3.0, 3.0, 3.0]))
+        npt.assert_allclose(np.exp(log_p.data), np.full(4, 0.25), atol=1e-15)
 
 
 class TestSoftmaxInvariants:
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_rows_sum_to_one_and_positive(self, logits):
-        p = T.softmax(T.Tensor(logits)).data
+        p = np.exp(T.log_softmax(T.Tensor(logits)).data)
         assert abs(p.sum() - 1.0) <= 1e-12
         assert (p > 0.0).all()
 
     def test_stable_under_large_magnitudes(self):
-        p = T.softmax(T.Tensor([1000.0, 0.0])).data
-        assert np.isfinite(p).all()
-        npt.assert_allclose(p, [1.0, 0.0], atol=1e-300)
+        # the probability of the second class underflows; its log does not
+        log_p = T.log_softmax(T.Tensor([1000.0, 0.0])).data
+        npt.assert_array_equal(log_p, [0.0, -1000.0])
 
     def test_rejects_nan_input(self):
         with pytest.raises(NumericDomainError):
-            T.softmax(T.Tensor([np.nan, 0.0]))
+            T.log_softmax(T.Tensor([np.nan, 0.0]))
 
 
 class TestTapeDiscipline:
@@ -363,7 +363,7 @@ class TestTapeDiscipline:
     def test_no_node_holds_a_gradient_after_backward(self):
         x = T.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         w = T.Tensor([[0.5], [-1.0]], requires_grad=True)
-        T.backward(T.softmax(T.gelu(x @ w) + x).sum())
+        T.backward(T.log_softmax(T.gelu(x @ w) + x).sum())
         assert all(node.grad is None for node in T.active_tape().nodes)
 
     def test_nodes_after_the_loss_never_run(self):
@@ -403,7 +403,7 @@ class TestDeterminism:
             x = T.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
             w = T.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
             h = T.gelu(x @ w)
-            loss = (T.softmax(h) * T.softmax(h)).sum()
+            loss = (T.log_softmax(h) * T.log_softmax(h)).sum()
             T.backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 

@@ -311,15 +311,18 @@ class TestTrainingLoop:
         assert isinstance(info.value.__cause__, NumericDomainError)
         assert not (tmp_path / "best.npz").exists()
 
-    def test_saturated_softmax_ends_as_training_diverged(self, tmp_path):
-        # a logit gap above about 745 underflows a slot probability to 0
+    def test_saturated_logits_train_to_a_checkpoint(self, tmp_path):
+        # a logit gap above about 745 underflows a slot probability to 0;
+        # its log-probability, the loss and the gradients stay finite
         corpus = tiny_corpus()
-        model = build_model(tiny_config(epochs=1), corpus)
-        model.decoder.head.bias.data[-1] = 1000.0
-        with pytest.raises(TrainingDiverged, match="at epoch 1; no checkpoint was saved") as info:
-            train(model, corpus, out_dir=str(tmp_path))
-        assert isinstance(info.value.__cause__, NumericDomainError)
-        assert not (tmp_path / "best.npz").exists()
+        for cost_mode in ("prob", "log_prob"):
+            model = build_model(tiny_config(epochs=1, cost_mode=cost_mode), corpus)
+            model.decoder.head.bias.data[-1] = 1000.0
+            out_dir = tmp_path / cost_mode
+            result = train(model, corpus, out_dir=str(out_dir))
+            assert math.isfinite(result.history[0].train_loss)
+            assert math.isfinite(result.history[0].grad_norm)
+            assert (out_dir / "best.npz").exists()
 
 
 class TestEvaluate:
