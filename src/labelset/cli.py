@@ -270,8 +270,8 @@ def main(argv=None) -> int:
     except LabelsetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except OSError as exc:   # a missing file, or a path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:
         traceback.print_exc()

@@ -96,8 +96,12 @@ def read_jsonl(path, require_labels: bool = True) -> tuple[list[RawRecord], int]
     """
     records: list[RawRecord] = []
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from exc
             if not line.strip():
                 continue
             try:

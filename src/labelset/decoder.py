@@ -33,7 +33,9 @@ class PredictionSet:
         data = self.log_probs.data
         if data.ndim < 2:
             raise ContractError(f"prediction set needs (..., m, K+1) rows, got shape {data.shape}")
-        if not (np.abs(np.exp(data).sum(axis=-1) - 1.0) <= 1e-12).all():
+        # 64 eps of the rows' dtype: 7.6e-6 at float32, and 1e-12 at float64
+        tolerance = max(1e-12, 64 * float(np.finfo(data.dtype).eps))
+        if not (np.abs(np.exp(data).sum(axis=-1) - 1.0) <= tolerance).all():
             raise ContractError("prediction rows must each exponentiate to a sum of 1")
 
     @property
@@ -63,7 +65,7 @@ class SetDecoder(nn.Module):
                rng: np.random.Generator | None = None, train: bool = False) -> PredictionSet:
         if queries.shape != self.query_shape:
             raise ConfigError(f"queries shaped {queries.shape}, decoder expects {self.query_shape}")
-        memory_bias = nn.mask_to_bias(memory.attention_mask)
+        memory_bias = nn.mask_to_bias(memory.attention_mask, memory.hidden.data.dtype)
         x = queries
         for layer in self.layers:
             x = layer(x, memory=memory.hidden, memory_bias=memory_bias, rng=rng, train=train)

@@ -65,7 +65,9 @@ def bc_penalty(ps: PredictionSet) -> T.Tensor:
     log_probs = ps.log_probs
     if ps.num_queries < 2:
         return T.Tensor(np.zeros(log_probs.shape[:-2]))
-    roots = np.exp(0.5 * log_probs.data)
+    # float64 even for float32 rows: a root squares exactly, so a class that
+    # only one slot supports still adds exactly 0
+    roots = np.exp(0.5 * log_probs.data.astype(np.float64))
     sums, squares = T.fsum(np.stack([roots, roots * roots]), axis=-2).data
     per_class = np.maximum(sums * sums - squares, 0.0)
     value = 0.5 * T.fsum(per_class, axis=-1).data

@@ -111,7 +111,7 @@ class TransformerEncoder(nn.Module):
                 (np.take_along_axis(tokens, real[..., None] - 1, axis=-1) != SEP).any():
             raise ContractError("encoder input must start with CLS and end with SEP")
         x = T.gather(self.token_embed, tokens) + T.gather(self.pos_embed, np.arange(length))
-        bias = nn.mask_to_bias(attention_mask)
+        bias = nn.mask_to_bias(attention_mask, x.data.dtype)
         for layer in self.layers:
             x = layer(x, self_bias=bias, rng=rng, train=train)
         return EncodedSentence(hidden=self.final_norm(x), attention_mask=attention_mask)

@@ -126,8 +126,9 @@ class GcnStack(nn.Module):
     """Learnable node features pushed through fixed graph propagation.
 
     Each layer multiplies by the propagation matrix, applies a learned
-    linear map, then the activation.  The propagation matrix is a constant;
-    gradients reach only the node table and the layer weights.
+    linear map, then the activation.  The propagation matrix is a constant,
+    kept in the parameters' dtype; gradients reach only the node table and
+    the layer weights.
     """
 
     def __init__(self, rng: np.random.Generator, propagation: np.ndarray,
@@ -138,8 +139,7 @@ class GcnStack(nn.Module):
         if activation not in ("relu", "leaky_relu"):
             raise ConfigError(f"unsupported GCN activation {activation!r}")
         self.activation = activation
-        self.propagation = np.asarray(propagation, dtype=np.float64)
-        k = self.propagation.shape[0]
+        k = len(propagation)
         # node features are inputs, not a weight matrix: unit-bound init so
         # the produced queries match the scale of a plain learnable table
         self.node_features = self.register("node_features", nn.uniform_init(rng, 1, (k, width)))
@@ -147,6 +147,7 @@ class GcnStack(nn.Module):
             self.register(f"layer_weight{i}", nn.uniform_init(rng, width, (width, width)))
             for i in range(num_layers)
         ]
+        self.propagation = np.asarray(propagation, dtype=self.node_features.data.dtype)
 
     def __call__(self) -> T.Tensor:
         act = T.relu if self.activation == "relu" else T.leaky_relu

@@ -69,6 +69,9 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if kind == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for path_name in ("train_path", "valid_path", "test_path", "out_dir"):
+            if "\0" in (getattr(self, path_name) or ""):
+                raise ConfigError(f"{path_name} must not contain a NUL character")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.d_model <= 0:
@@ -260,7 +263,22 @@ def save_checkpoint(path, model: Model) -> None:
             os.remove(temp)
 
 
+def _checked_array(path, name: str, value: np.ndarray, dtype) -> np.ndarray:
+    """A stored array cast to ``dtype``; anything but finite real numbers,
+    before or after the cast, is a ``CheckpointError``."""
+    if value.dtype.kind not in "iuf":
+        raise CheckpointError(f"checkpoint {path} array {name} has dtype {value.dtype}, "
+                              f"not real numbers")
+    with np.errstate(over="ignore"):   # a float64 beyond float32's range becomes Inf
+        value = value.astype(dtype)
+    if not np.isfinite(value).all():
+        raise CheckpointError(f"checkpoint {path} array {name} holds NaN or Inf")
+    return value
+
+
 def load_checkpoint(path) -> Model:
+    """The model a checkpoint stores, with its parameters in the model's
+    dtype (float32); float64 checkpoints load too."""
     try:
         archive = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as exc:
@@ -276,7 +294,8 @@ def load_checkpoint(path) -> Model:
         label_vocab = LabelVocabulary([str(n) for n in archive["__labels__"]])
         token_names = [str(n) for n in archive["__tokens__"]]
         token_vocab = TokenVocabulary(token_names[4:])
-        propagation = archive["__propagation__"]
+        propagation = _checked_array(path, "__propagation__", archive["__propagation__"],
+                                     np.float64)
         if propagation.size == 0:
             propagation = None
         model = Model(np.random.default_rng(config.seed), config,
@@ -290,5 +309,5 @@ def load_checkpoint(path) -> Model:
             if value.shape != param.data.shape:
                 raise CheckpointError(
                     f"checkpoint parameter {name} has shape {value.shape}, model expects {param.data.shape}")
-            param.data = value.astype(np.float64)
+            param.data = _checked_array(path, f"param/{name}", value, param.data.dtype)
     return model

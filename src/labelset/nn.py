@@ -1,7 +1,10 @@
 """Layers assembled from the autodiff primitives.
 
-All parameters are float64 and initialized from a caller-supplied numpy
-Generator, uniform in (-1/sqrt(fan_in), +1/sqrt(fan_in)).  Modules register
+All parameters are ``DTYPE`` (float32) and initialized from a
+caller-supplied numpy Generator, uniform in (-1/sqrt(fan_in),
++1/sqrt(fan_in)), drawn in float64 and rounded.  Activations follow the
+parameters' dtype, and the constants a layer builds (attention masks,
+dropout masks) take the dtype of the tensor they meet.  Modules register
 parameters in a dict as they are created, so iteration order (and therefore
 optimizer update order) is the creation order, which is fixed by the model
 architecture and nothing else.
@@ -15,6 +18,10 @@ from . import tensor as T
 from .errors import ContractError
 
 MASK_BIAS = -1e9
+# the one precision decision: every parameter, and so every activation, is
+# float32; exact sums (matching costs, the overlap penalty's fsum, metrics)
+# are taken in float64 where they happen
+DTYPE = np.float32
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -32,7 +39,7 @@ class Module:
     def register(self, name: str, array: np.ndarray) -> T.Tensor:
         if name in self._params or name in self._children:
             raise ContractError(f"duplicate parameter name {name!r}")
-        param = T.Tensor(array, requires_grad=True)
+        param = T.Tensor(np.asarray(array, dtype=DTYPE), requires_grad=True)
         self._params[name] = param
         return param
 
@@ -73,10 +80,11 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gamma, self.beta)
 
 
-def mask_to_bias(mask: np.ndarray) -> np.ndarray:
+def mask_to_bias(mask: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Turn a {0,1} key mask of shape (..., L) into an additive attention
-    bias of shape (..., 1, 1, L): 0 on real positions, MASK_BIAS on padding."""
-    mask = np.asarray(mask, dtype=np.float64)
+    bias of shape (..., 1, 1, L): 0 on real positions, MASK_BIAS on padding.
+    Pass the dtype of the scores it is added to."""
+    mask = np.asarray(mask, dtype=dtype)
     if mask.ndim < 1:
         raise ContractError(f"key mask needs a key axis, got shape {mask.shape}")
     return ((1.0 - mask) * MASK_BIAS)[..., None, None, :]
@@ -136,7 +144,7 @@ class Dropout:
             raise ContractError("dropout in training mode needs a Generator")
         keep = 1.0 - self.rate
         mask = (rng.random(rows + x.shape[-2:] if rows else x.shape) < keep) / keep
-        return x * T.Tensor(mask)
+        return x * T.Tensor(mask.astype(x.data.dtype))
 
 
 class TransformerLayer(Module):

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
 Everything here is deliberately small and single threaded: operations execute
 eagerly on numpy arrays and record themselves on a global tape, and
@@ -17,6 +17,13 @@ At the model's sizes the cost is per node, not per flop, so ``linear``
 softmax, weighted sum, head merge) are fused: one node each.  Output
 distributions are taken as log-probabilities (``log_softmax``), which stay
 finite where a probability would underflow to 0.
+
+A tensor keeps the float dtype of the array it wraps, so a model whose
+parameters are float32 runs in float32.  Numpy promotes a float32 array met
+by a float64 array (0-d included) or a numpy float64 scalar to float64, so
+the constants inside an op are Python floats or arrays of its operands'
+dtype, and a Python scalar passed as an operand (a float64 tensor) widens
+the result.
 """
 
 from __future__ import annotations
@@ -29,17 +36,22 @@ from scipy.special import erf, expit
 
 from .errors import ContractError, NumericDomainError, ShapeError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy float64 scalars, which would promote float32 arrays
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """A dense float64 array with an optional same-shape gradient accumulator."""
+    """A dense float array with an optional same-shape gradient accumulator.
+
+    A float array keeps its dtype; ints, bools and Python scalars become
+    float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
@@ -327,7 +339,7 @@ def attention(q, k, v, num_heads: int, bias=None) -> Tensor:
     if q.ndim < 2 or k.shape != v.shape or k.shape[-1] != width or width % num_heads:
         raise ShapeError(f"attention cannot split q {q.shape}, k {k.shape}, v {v.shape} into {num_heads} heads")
     head_dim = width // num_heads
-    scale = 1.0 / np.sqrt(head_dim)
+    scale = 1.0 / math.sqrt(head_dim)
 
     def split(a):   # (..., L, d) -> (..., heads, L, head_dim)
         return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, head_dim)), -3, -2)
@@ -494,7 +506,7 @@ def reshape(x, shape) -> Tensor:
 def bce_with_logits(logits, targets) -> Tensor:
     """Elementwise binary cross entropy on logits, the numerically stable form."""
     logits = as_tensor(logits)
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=logits.data.dtype)
     if targets.shape != logits.shape:
         raise ShapeError(f"bce_with_logits shapes disagree: {logits.shape} vs {targets.shape}")
     z = logits.data

@@ -35,10 +35,11 @@ BLOCK = 32768
 class Adam:
     """Adaptive-moment gradient descent over a named parameter dict.
 
-    Construction moves the parameters into one flat float64 buffer, in the
-    dict's insertion order, and their gradients into a second one: each
-    parameter's ``.data`` and ``.grad`` are rebound to views of those
-    buffers, so the model and the optimizer share storage.  ``step`` walks
+    Construction moves the parameters into one flat buffer of their dtype
+    (float32 for a model's), in the dict's insertion order, and their
+    gradients into a second one; the moments and scratch rows take the same
+    dtype.  Each parameter's ``.data`` and ``.grad`` are rebound to views of
+    those buffers, so the model and the optimizer share storage.  ``step`` walks
     the parameters, gradients and both moments in blocks of ``BLOCK``
     elements, a size whose working set fits in a core's cache, and gives
     each element the same arithmetic in the same order as a per-parameter
@@ -54,8 +55,9 @@ class Adam:
         self.eps = eps
         self.step_count = 0
         total = sum(p.data.size for p in params.values())
-        self.data = np.empty(total)
-        self.grad = np.empty(total)
+        dtype = np.result_type(*(p.data.dtype for p in params.values()))
+        self.data = np.empty(total, dtype)
+        self.grad = np.empty(total, dtype)
         offset = 0
         for param in params.values():
             shape, end = param.data.shape, offset + param.data.size
@@ -64,9 +66,9 @@ class Adam:
             param.data = self.data[offset:end].reshape(shape)
             param.grad = self.grad[offset:end].reshape(shape)
             offset = end
-        self.first_moment = np.zeros(total)
-        self.second_moment = np.zeros(total)
-        self._scratch = np.empty((2, BLOCK))
+        self.first_moment = np.zeros(total, dtype)
+        self.second_moment = np.zeros(total, dtype)
+        self._scratch = np.empty((2, BLOCK), dtype)
 
     def step(self) -> None:
         for name, param in self.params.items():
@@ -134,7 +136,9 @@ def batch_loss(model: Model, batch, queries, dropout_rng, train: bool) -> BatchL
     gold = np.stack([pad_gold(l, config.num_queries, model.label_vocab.null_index) for l in labels])
     terms = objective(gold, ps, config.effective_bc_weight, config.cost_mode)
     penalty = 0.0 if terms.penalty is None else float(terms.penalty.data.mean())
-    return BatchLoss(terms.total.mean(), float(terms.set_loss.data.mean()), penalty)
+    total = terms.total.mean()
+    # the float32 set loss averaged in total's float64, so the logged parts add up
+    return BatchLoss(total, float(terms.set_loss.data.mean(dtype=total.data.dtype)), penalty)
 
 
 @dataclass

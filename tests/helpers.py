@@ -40,8 +40,12 @@ def check_gradients(build_graph, leaves, tol: float = GRAD_TOL, step: float = FD
 
     ``build_graph`` maps leaf Tensors to a scalar loss Tensor.  Asserts the
     relative error at every coordinate whose analytic or numeric gradient is
-    nonzero.
+    nonzero.  The leaves are cast to float64 first: a central difference at
+    ``FD_STEP`` is defined there, not at a model's float32.
     """
+    for leaf in leaves:
+        leaf.data = leaf.data.astype(np.float64)
+        leaf.grad = leaf.grad.astype(np.float64)
 
     def scalar_loss(ls):
         T.reset_tape()

@@ -2,13 +2,19 @@
 
 import json
 import os
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelset.cli import main
-from labelset.data import SyntheticSpec, generate_synthetic, write_jsonl
+from labelset.data import SyntheticSpec, generate_synthetic, synthetic_corpus, write_jsonl
 from labelset.errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK
+from labelset.model import RunConfig, build_model, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -385,3 +391,80 @@ class TestDeterminism:
             assert main(["train", "--config", str(cfg)]) == EXIT_OK
             logs.append((out / "train_log.jsonl").read_text())
         assert logs[0] == logs[1]
+
+
+# integers stay small: sizes and counts scale the work a run does
+NON_TEXT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.floats(),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=3), st.none(), max_size=1))
+JSON_VALUES = NON_TEXT_VALUES | st.text(max_size=8)
+# a drawn path is one relative name, so whatever a run writes stays in its temporary directory
+PATH_KEYS = {"train_path", "valid_path", "test_path", "out_dir"}
+PATH_VALUES = NON_TEXT_VALUES | st.text(alphabet="ab.-_\x00", max_size=8).filter(
+    lambda name: name not in (".", ".."))
+CONFIG_OVERRIDES = st.lists(st.sampled_from([f.name for f in fields(RunConfig)]),
+                            unique=True, max_size=3).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: PATH_VALUES if key in PATH_KEYS else JSON_VALUES for key in keys}))
+JSONL_LINES = st.one_of(
+    st.binary(max_size=24),
+    st.builds(lambda obj: json.dumps(obj).encode(),
+              st.dictionaries(st.sampled_from(["text", "labels"]), JSON_VALUES, max_size=2)))
+
+
+class TestEveryInputEndsInADocumentedExit:
+    @given(overrides=CONFIG_OVERRIDES, bad_line=st.none() | JSONL_LINES)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_train_exits_0_to_3(self, corpus_dir, overrides, bad_line):
+        """Any JSON value for any config key, and any extra training line,
+        ends in exit 0-3; a config error leaves no checkpoint."""
+        start = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)   # relative paths drawn for path keys land here
+            try:
+                train = os.path.join(tmp, "train.jsonl")
+                with open(train, "wb") as fh:
+                    fh.write((corpus_dir / "train.jsonl").read_bytes())
+                    if bad_line is not None:
+                        fh.write(bad_line + b"\n")
+                cfg = Path(tmp) / "c.json"
+                write_config(cfg, corpus_dir, **{
+                    "train_path": train, "out_dir": os.path.join(tmp, "out"), "d_model": 8,
+                    "max_len": 16, "epochs": 1, **overrides})
+                # a diverging run warns on its way to exit 3; the suite makes warnings errors
+                with np.errstate(all="ignore"):
+                    code = main(["train", "--config", str(cfg)])
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+                if code == EXIT_CONFIG:
+                    assert not any("best.npz" in files for _, _, files in os.walk(tmp))
+            finally:
+                os.chdir(start)
+
+
+@pytest.mark.parametrize("head, name, poison", [
+    ("bce", "param/bce.readout.bias", lambda a: np.where(np.arange(a.size) == 0, np.nan, a)),
+    ("set_prediction", "param/decoder.head.bias", lambda a: np.full_like(a, np.nan)),
+    ("set_prediction", "param/encoder.token_embed", lambda a: np.where(a > 0, np.inf, a)),
+    ("set_prediction", "param/decoder.head.weight", lambda a: a.astype(np.complex128)),
+    ("set_prediction", "param/decoder.head.weight", lambda a: a.astype(str)),
+    ("set_prediction", "__propagation__", lambda a: np.full_like(a, np.nan)),
+], ids=["bce-nan", "set-nan", "set-inf", "complex", "string", "propagation-nan"])
+def test_predict_rejects_a_bad_checkpoint_array(tmp_path, capsys, head, name, poison):
+    corpus = synthetic_corpus(SyntheticSpec(num_labels=5, vocab_size=30, train_size=24,
+                                            valid_size=8, test_size=8, seed=11))
+    config = RunConfig(d_model=8, encoder_layers=1, decoder_layers=1, encoder_heads=2,
+                       decoder_heads=2, gcn_layers=1, max_len=16, head=head)
+    checkpoint = tmp_path / "best.npz"
+    save_checkpoint(str(checkpoint), build_model(config, corpus))
+    with np.load(str(checkpoint), allow_pickle=False) as archive:
+        blob = {key: archive[key] for key in archive.files}
+    blob[name] = poison(blob[name])
+    np.savez(str(checkpoint), **blob)
+    inputs = tmp_path / "in.jsonl"
+    inputs.write_text(json.dumps({"text": "trig0 a"}) + "\n")
+    outputs = tmp_path / "out.jsonl"
+    code = main(["predict", "--checkpoint", str(checkpoint),
+                 "--input", str(inputs), "--output", str(outputs)])
+    assert code == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not outputs.exists()

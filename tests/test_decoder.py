@@ -137,7 +137,7 @@ class TestBceHead:
         loss = head.loss(memory, gold)
         with T.no_grad():
             z = head.logits(memory).data
-        y = np.array([1.0, 0.0, 1.0])
+        y = np.array([1.0, 0.0, 1.0], dtype=z.dtype)
         direct = np.mean(np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z))))
         npt.assert_allclose(float(loss.data), direct, rtol=0, atol=1e-15)
 

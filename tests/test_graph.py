@@ -219,6 +219,7 @@ class TestGcn:
         rng = np.random.default_rng(1)
         spread = graph.normalized_propagation(np.array([[0.5, 0.5], [0.5, 0.5]]))
         stack = graph.GcnStack(rng, spread, num_layers=2, width=3)
+        spread = spread.astype(stack.node_features.data.dtype)
         expected = stack.node_features.data
         for w in stack.layer_weights:
             expected = np.maximum(spread @ expected @ w.data, 0.0)

@@ -339,3 +339,24 @@ class TestCheckpoint:
         assert stored["bc_weight"] == 0.33
         assert stored["tau"] == 0.2
         assert stored["num_queries"] == model.config.num_queries
+
+
+def test_float64_checkpoint_loads_as_float32_and_predicts(tmp_path):
+    corpus = tiny_corpus()
+    model = build_model(tiny_config(), corpus)
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), model)
+
+    def widen(blob):
+        for key in blob:
+            if key.startswith("param/"):
+                blob[key] = blob[key].astype(np.float64)
+
+    tampered(path, widen)
+    with np.load(str(path), allow_pickle=False) as archive:
+        assert archive["param/decoder.head.weight"].dtype == np.float64
+    restored = load_checkpoint(str(path))
+    for name, param in restored.named_parameters().items():
+        assert param.data.dtype == np.float32, name
+        assert np.array_equal(param.data, model.named_parameters()[name].data), name
+    assert evaluate(restored, corpus.test) == evaluate(model, corpus.test)

@@ -403,3 +403,74 @@ class TestBatchLoss:
         assert encode_nodes <= 28, f"{encode_nodes} tape nodes in encode"
         assert decode_nodes <= 41, f"{decode_nodes} tape nodes in decode"
         assert nodes / 8 <= 12, f"{nodes} tape nodes for 8 samples"
+
+
+K64_SPEC = {"num_labels": 64, "vocab_size": 160, "extra_label_prob": 0.25}
+PRECISION_CASES = {
+    "default": ({}, {}),
+    "k64-log_prob": (K64_SPEC, {"num_queries": 32, "cost_mode": "log_prob"}),
+    "bce": ({}, {"head": "bce"}),
+}
+
+
+def first_batch(spec, overrides):
+    """A model at ``RunConfig`` defaults (with ``overrides``) and its first
+    shuffled training batch."""
+    corpus = synthetic_corpus(SyntheticSpec(**spec))
+    model = build_model(RunConfig(**overrides), corpus)
+    batch = next(batch_iterator(corpus.train, 8, rng=np.random.default_rng(0),
+                                clip=model.encoder.clip))
+    return model, batch
+
+
+def parameter_gradients(model, batch) -> dict:
+    T.reset_tape()
+    T.backward(batch_loss(model, batch, model.queries(), None, train=True).total)
+    T.reset_tape()
+    return {name: p.grad.copy() for name, p in model.named_parameters().items()}
+
+
+@pytest.mark.parametrize("case", list(PRECISION_CASES))
+class TestFloat32:
+    def test_parameters_buffers_and_tape_are_float32_up_to_the_penalty(self, case, monkeypatch):
+        model, batch = first_batch(*PRECISION_CASES[case])
+        optimizer = Adam(model.trainable_parameters(), lr=1e-3)
+        for array in (optimizer.data, optimizer.grad, optimizer.first_moment,
+                      optimizer.second_moment, optimizer._scratch):
+            assert array.dtype == np.float32
+        assert all(p.data.dtype == np.float32 for p in model.named_parameters().values())
+        widened = []
+        accumulate = T._accumulate
+
+        def recording(t, delta):
+            if t.data.dtype == np.float32 and np.result_type(delta) != np.float32:
+                widened.append(np.result_type(delta))
+            accumulate(t, delta)
+
+        monkeypatch.setattr(T, "_accumulate", recording)
+        T.reset_tape()
+        T.backward(batch_loss(model, batch, model.queries(), np.random.default_rng(0),
+                              train=True).total)
+        nodes = [node.data.dtype for node in T.active_tape().nodes]
+        T.reset_tape()
+        # the overlap penalty sums in float64, and so do the weighted sum and
+        # the batch mean after it (mul, add, mean); the bce head has no penalty
+        tail = 0 if case == "bce" else 4
+        assert all(dtype == np.float64 for dtype in nodes[len(nodes) - tail:])
+        assert all(dtype == np.float32 for dtype in nodes[:len(nodes) - tail]), nodes
+        # only the tail hands float64 gradients to float32 nodes: the penalty
+        # to the log-probabilities, and the weighted sum to the set loss
+        assert len(widened) == (0 if case == "bce" else 2), widened
+
+    def test_gradients_match_float64_gradients_of_the_same_parameters(self, case):
+        model, batch = first_batch(*PRECISION_CASES[case])
+        low = parameter_gradients(model, batch)
+        for param in model.named_parameters().values():
+            param.data = param.data.astype(np.float64)
+            param.grad = np.zeros_like(param.data)
+        high = parameter_gradients(model, batch)
+        assert all(g.dtype == np.float64 for g in high.values())
+        overall = math.sqrt(sum(float(np.sum(g * g)) for g in high.values()))
+        for name, g64 in high.items():
+            err = np.linalg.norm(low[name] - g64)
+            assert err <= 1e-5 * max(np.linalg.norm(g64), 1e-3 * overall), name
