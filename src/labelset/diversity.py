@@ -14,12 +14,13 @@ so the sum over pairs factors per class c through S_c = Σ_i √p_ic:
     Σ_{i<j} BC(p_i, p_j) = ½ · Σ_c [S_c² − Σ_i fl(√p_ic)²],
 
 which costs O(mK) instead of O(m²K).  ``bc_penalty`` takes √p = exp(½·log p),
-which may underflow to 0 harmlessly.  It takes S_c and the squared term
-with correctly rounded sums over the slots (``math.fsum``), so no
-permutation of the slots changes a bit; it subtracts the rounded squares
-rather than Σ_i p_ic, so a class that only one slot supports adds exactly 0;
-and it clamps each class term at 0, where near-disjoint rows could
-otherwise round the difference below zero.
+which may underflow to 0 harmlessly.  It sorts each class's roots over the
+slots before summing S_c and the squared term, so both sums add the same
+values in the same order under any permutation of the slots and no bit
+changes; it subtracts the rounded squares rather than Σ_i p_ic, so a class
+that only one slot supports adds exactly 0; and it clamps each class term
+at 0, where near-disjoint rows could otherwise round the difference below
+zero.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from .decoder import PredictionSet
 from .errors import ContractError
 from .matching import set_loss
 
-SQRT_FLOOR = 1e-12  # derivative clamp inside the square root
-
 
 def bhattacharyya_pair(p, q) -> T.Tensor:
-    """Overlap coefficient of two probability vectors, in [0, 1]."""
+    """Overlap coefficient of two probability vectors, in [0, 1], as a
+    constant: the reference the batched ``bc_penalty`` is checked against."""
     p, q = T.as_tensor(p), T.as_tensor(q)
     for vec in (p, q):
         if vec.ndim != 1:
@@ -48,7 +48,7 @@ def bhattacharyya_pair(p, q) -> T.Tensor:
             raise ContractError(f"probability vector sums to {vec.data.sum()!r}, not 1")
     if p.shape != q.shape:
         raise ContractError(f"length mismatch: {p.shape} vs {q.shape}")
-    return T.fsum(T.sqrt_clamped(p * q, SQRT_FLOOR))
+    return T.Tensor(np.sqrt(p.data * q.data).sum())
 
 
 def bc_penalty(ps: PredictionSet) -> T.Tensor:
@@ -56,21 +56,23 @@ def bc_penalty(ps: PredictionSet) -> T.Tensor:
     one sum per sentence of a batch, recorded as one tape node.
 
     The value is ½ · Σ_c max(S_c² − Σ_i fl(√p_ic)², 0) with S_c = Σ_i √p_ic,
-    both sums over slots correctly rounded, so it is exactly non-negative
-    and bit-stable under any permutation of the slots.  The gradient is that
-    of the unclamped sum with respect to the log-probabilities,
-    ½·√p_ic·(S_c − √p_ic), which is finite everywhere; the clamp only
-    removes rounding below zero.
+    both sums taken over the slots in sorted order, so it is exactly
+    non-negative and bit-stable under any permutation of the slots.  The
+    gradient is that of the unclamped sum with respect to the
+    log-probabilities, ½·√p_ic·(S_c − √p_ic), which is finite everywhere;
+    the clamp only removes rounding below zero.
     """
     log_probs = ps.log_probs
     if ps.num_queries < 2:
         return T.Tensor(np.zeros(log_probs.shape[:-2]))
-    # float64 even for float32 rows: a root squares exactly, so a class that
-    # only one slot supports still adds exactly 0
+    # float64 even for float32 rows: the penalty and the loss terms added to
+    # it stay float64 sums whatever the parameters' dtype
     roots = np.exp(0.5 * log_probs.data.astype(np.float64))
-    sums, squares = T.fsum(np.stack([roots, roots * roots]), axis=-2).data
+    ordered = np.sort(roots, axis=-2)   # the same array under any slot order
+    sums = np.add.reduce(ordered, axis=-2)
+    squares = np.add.reduce(ordered * ordered, axis=-2)
     per_class = np.maximum(sums * sums - squares, 0.0)
-    value = 0.5 * T.fsum(per_class, axis=-1).data
+    value = 0.5 * np.add.reduce(per_class, axis=-1)
 
     def vjp(g):
         return g[..., None, None] * (0.5 * roots * (sums[..., None, :] - roots))

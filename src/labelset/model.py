@@ -72,6 +72,8 @@ class RunConfig:
         for path_name in ("train_path", "valid_path", "test_path", "out_dir"):
             if "\0" in (getattr(self, path_name) or ""):
                 raise ConfigError(f"{path_name} must not contain a NUL character")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.d_model <= 0:
@@ -276,6 +278,21 @@ def _checked_array(path, name: str, value: np.ndarray, dtype) -> np.ndarray:
     return value
 
 
+def _metadata(path, archive, name: str) -> np.ndarray:
+    """A stored metadata array; a missing one is a ``CheckpointError``."""
+    if name not in archive:
+        raise CheckpointError(f"checkpoint {path} has no array {name}")
+    return archive[name]
+
+
+def _names(path, archive, name: str) -> list[str]:
+    """A stored 1-D metadata array of names, as strings."""
+    names = _metadata(path, archive, name)
+    if names.ndim != 1:
+        raise CheckpointError(f"checkpoint {path} array {name} has shape {names.shape}, not a list")
+    return [str(n) for n in names]
+
+
 def load_checkpoint(path) -> Model:
     """The model a checkpoint stores, with its parameters in the model's
     dtype (float32); float64 checkpoints load too."""
@@ -286,16 +303,24 @@ def load_checkpoint(path) -> Model:
     with archive:
         if "__version__" not in archive:
             raise CheckpointError(f"{path} is not a model checkpoint")
-        version = int(archive["__version__"])
+        try:
+            version = int(archive["__version__"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {path} array __version__ is not an integer") from exc
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
-        config = RunConfig.from_dict(json.loads(str(archive["__config__"])))
-        label_vocab = LabelVocabulary([str(n) for n in archive["__labels__"]])
-        token_names = [str(n) for n in archive["__tokens__"]]
-        token_vocab = TokenVocabulary(token_names[4:])
-        propagation = _checked_array(path, "__propagation__", archive["__propagation__"],
-                                     np.float64)
+        try:
+            raw = json.loads(str(_metadata(path, archive, "__config__")))
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"checkpoint {path} array __config__ is not JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise CheckpointError(f"checkpoint {path} array __config__ is not a JSON object")
+        config = RunConfig.from_dict(raw)
+        label_vocab = LabelVocabulary(_names(path, archive, "__labels__"))
+        token_vocab = TokenVocabulary(_names(path, archive, "__tokens__")[4:])
+        propagation = _checked_array(path, "__propagation__",
+                                     _metadata(path, archive, "__propagation__"), np.float64)
         if propagation.size == 0:
             propagation = None
         model = Model(np.random.default_rng(config.seed), config,

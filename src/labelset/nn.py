@@ -19,7 +19,7 @@ from .errors import ContractError
 
 MASK_BIAS = -1e9
 # the one precision decision: every parameter, and so every activation, is
-# float32; exact sums (matching costs, the overlap penalty's fsum, metrics)
+# float32; matching costs, the overlap penalty's sorted sums and the metrics
 # are taken in float64 where they happen
 DTYPE = np.float32
 

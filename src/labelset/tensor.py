@@ -79,12 +79,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -92,11 +86,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise ContractError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(scalar))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -233,16 +222,6 @@ def add(a, b) -> Tensor:
     return _record(a.data + b.data, (a, b), backward_fn)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, -_unbroadcast(g, b.data.shape))
-
-    return _record(a.data - b.data, (a, b), backward_fn)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
@@ -362,18 +341,6 @@ def attention(q, k, v, num_heads: int, bias=None) -> Tensor:
     return _record(merge(np.matmul(weights, vh)), (q, k, v), backward_fn)
 
 
-def sqrt_clamped(x, floor: float = 1e-12) -> Tensor:
-    """Exact elementwise square root whose derivative is evaluated at
-    max(x, floor), keeping the backward pass finite at zero."""
-    x = as_tensor(x)
-    y = np.sqrt(x.data)
-
-    def backward_fn(g):
-        _accumulate(x, g / (2.0 * np.sqrt(np.maximum(x.data, floor))))
-
-    return _record(y, (x,), backward_fn)
-
-
 def relu(x) -> Tensor:
     x = as_tensor(x)
 
@@ -458,26 +425,6 @@ def _reduce(x, axis, keepdims, mean: bool) -> Tensor:
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
         _accumulate(x, np.broadcast_to(gg, x.data.shape) / scale if mean else np.broadcast_to(gg, x.data.shape))
-
-    return _record(out, (x,), backward_fn)
-
-
-def fsum(x, axis=None) -> Tensor:
-    """Correctly rounded totals over ``axis`` (an int or a tuple of ints; all
-    axes when None).
-
-    Unlike ``sum``, a total does not depend on element order, so
-    reductions over mathematically order-free collections (e.g. unordered
-    pairs) stay bit-stable under permutation of the inputs."""
-    x = as_tensor(x)
-    axes = tuple(range(x.ndim)) if axis is None else tuple(np.arange(x.ndim)[np.atleast_1d(axis)])
-    kept = [a for a in range(x.ndim) if a not in axes]
-    shape = tuple(x.shape[a] for a in kept)
-    rows = np.transpose(x.data, kept + list(axes)).reshape(math.prod(shape), -1)
-    out = np.array([math.fsum(row) for row in rows.tolist()]).reshape(shape)
-
-    def backward_fn(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape))
 
     return _record(out, (x,), backward_fn)
 

@@ -30,6 +30,8 @@ from .model import Model, RunConfig, build_model, save_checkpoint
 # elements per Adam block: a block's four state slices and two scratch rows
 # (6 x 256 KiB) fit in a 2 MiB L2 cache
 BLOCK = 32768
+# Adam's moment decay rates and the floor added to the update's denominator
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -46,13 +48,9 @@ class Adam:
     update would, so the result does not depend on the block size.
     """
 
-    def __init__(self, params: dict[str, T.Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, T.Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         total = sum(p.data.size for p in params.values())
         dtype = np.result_type(*(p.data.dtype for p in params.values()))
@@ -76,27 +74,26 @@ class Adam:
                     getattr(param.grad, "base", None) is not self.grad:
                 raise ContractError(f"parameter {name!r} no longer views the optimizer's buffers")
         self.step_count += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        scale1 = 1.0 - b1 ** self.step_count
-        scale2 = 1.0 - b2 ** self.step_count
+        scale1 = 1.0 - BETA1 ** self.step_count
+        scale2 = 1.0 - BETA2 ** self.step_count
         block = self._scratch.shape[1]
         for start in range(0, self.data.size, block):
             end = start + block
             p, g = self.data[start:end], self.grad[start:end]
             m, v = self.first_moment[start:end], self.second_moment[start:end]
             a, b = self._scratch[0, :p.size], self._scratch[1, :p.size]
-            m *= b1
-            np.multiply(1.0 - b1, g, out=a)
+            m *= BETA1
+            np.multiply(1.0 - BETA1, g, out=a)
             m += a
-            v *= b2
-            np.multiply(1.0 - b2, g, out=a)
+            v *= BETA2
+            np.multiply(1.0 - BETA2, g, out=a)
             a *= g
             v += a
             np.divide(m, scale1, out=a)
-            a *= lr
+            a *= self.lr
             np.divide(v, scale2, out=b)
             np.sqrt(b, out=b)
-            b += eps
+            b += EPS
             a /= b
             p -= a
 

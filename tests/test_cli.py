@@ -448,7 +448,15 @@ class TestEveryInputEndsInADocumentedExit:
     ("set_prediction", "param/decoder.head.weight", lambda a: a.astype(np.complex128)),
     ("set_prediction", "param/decoder.head.weight", lambda a: a.astype(str)),
     ("set_prediction", "__propagation__", lambda a: np.full_like(a, np.nan)),
-], ids=["bce-nan", "set-nan", "set-inf", "complex", "string", "propagation-nan"])
+    ("set_prediction", "__config__", lambda a: np.array("{not json")),
+    ("set_prediction", "__config__", lambda a: np.array("null")),
+    ("set_prediction", "__version__", lambda a: np.array("x")),
+    ("set_prediction", "__config__", lambda a: None),
+    ("set_prediction", "__labels__", lambda a: None),
+    ("set_prediction", "__labels__", lambda a: np.array("label0")),
+], ids=["bce-nan", "set-nan", "set-inf", "complex", "string", "propagation-nan",
+        "config-not-json", "config-null", "version-not-int", "config-missing", "labels-missing",
+        "labels-scalar"])
 def test_predict_rejects_a_bad_checkpoint_array(tmp_path, capsys, head, name, poison):
     corpus = synthetic_corpus(SyntheticSpec(num_labels=5, vocab_size=30, train_size=24,
                                             valid_size=8, test_size=8, seed=11))
@@ -459,6 +467,8 @@ def test_predict_rejects_a_bad_checkpoint_array(tmp_path, capsys, head, name, po
     with np.load(str(checkpoint), allow_pickle=False) as archive:
         blob = {key: archive[key] for key in archive.files}
     blob[name] = poison(blob[name])
+    if blob[name] is None:   # the array goes missing
+        del blob[name]
     np.savez(str(checkpoint), **blob)
     inputs = tmp_path / "in.jsonl"
     inputs.write_text(json.dumps({"text": "trig0 a"}) + "\n")

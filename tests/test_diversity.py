@@ -182,13 +182,24 @@ class TestFactoredPenalty:
         npt.assert_allclose(leaf.grad, probe[:, None, None] * want * rows, rtol=1e-12, atol=0)
 
     def test_same_bits_under_any_slot_permutation_at_m32(self):
+        # permuting the slots leaves the value's bits alone and permutes the
+        # gradient's rows the same way, bit for bit
         rng = np.random.default_rng(8)
         rows = softmax_rows(rng, (4, 32, 65), 2.0)
-        base = diversity.bc_penalty(PredictionSet(T.Tensor(np.log(rows)))).data
+        probe = T.Tensor(np.array([0.7, -1.3, 0.4, 2.1]))
+
+        def value_and_grad(batch):
+            leaf = T.Tensor(np.log(batch), requires_grad=True)
+            value = diversity.bc_penalty(PredictionSet(leaf))
+            T.backward((value * probe).sum())
+            return value.data, leaf.grad
+
+        base, base_grad = value_and_grad(rows)
         for _ in range(10):
-            shuffled = np.stack([sample[rng.permutation(32)] for sample in rows])
-            value = diversity.bc_penalty(PredictionSet(T.Tensor(np.log(shuffled)))).data
+            orders = [rng.permutation(32) for _ in rows]
+            value, grad = value_and_grad(np.stack([s[o] for s, o in zip(rows, orders)]))
             assert value.tobytes() == base.tobytes()
+            assert grad.tobytes() == np.stack([g[o] for g, o in zip(base_grad, orders)]).tobytes()
 
     def test_batch_of_k64_records_one_tape_node(self):
         # tripwire: the pair-by-pair form recorded 5 nodes (two gathers,

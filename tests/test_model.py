@@ -83,6 +83,7 @@ class TestRunConfig:
             ("gcn_layers", 0),
             ("dropout", -0.1),
             ("p_neighbor", 0.0),
+            ("out_dir", ""),
         ]:
             with pytest.raises(ConfigError):
                 tiny_config(**{field: value})

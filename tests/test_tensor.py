@@ -22,13 +22,13 @@ def clean_tape():
 class TestPrimitiveGradients:
     """Every primitive's backward agrees with central differences."""
 
-    def test_add_sub_mul_broadcast(self):
+    def test_add_mul_broadcast(self):
         rng = np.random.default_rng(0)
         for trial in range(25):
             a = leaf(rng, 3, 4)
             b = leaf(rng, 4)  # broadcasts against a
             c = leaf(rng, 3, 4)
-            check_gradients(lambda ls: ((ls[0] + ls[1]) * ls[2] - ls[0]).sum(), [a, b, c])
+            check_gradients(lambda ls: ((ls[0] + ls[1]) * ls[2]).sum(), [a, b, c])
 
     def test_matmul_2d(self):
         rng = np.random.default_rng(1)
@@ -55,12 +55,6 @@ class TestPrimitiveGradients:
             x = leaf(rng, 2, 5)
             probe = T.Tensor(rng.standard_normal((2, 5)))
             check_gradients(lambda ls: (T.log_softmax(ls[0]) * probe).sum(), [x])
-
-    def test_log_sqrt(self):
-        rng = np.random.default_rng(5)
-        for trial in range(25):
-            x = T.Tensor(rng.uniform(0.5, 3.0, size=(4,)), requires_grad=True)
-            check_gradients(lambda ls: T.sqrt_clamped(ls[0]).sum(), [x])
 
     def test_relu_leaky_gelu_sigmoid(self):
         rng = np.random.default_rng(6)
@@ -109,16 +103,6 @@ class TestPrimitiveGradients:
         a = leaf(rng, 2, 3)
         b = leaf(rng, 1, 3)
         check_gradients(lambda ls: (ls[1] @ ls[0].reshape(3, 2)).sum(), [a, b])
-
-    def test_fsum_over_trailing_axes(self):
-        rng = np.random.default_rng(15)
-        x = leaf(rng, 2, 3, 4)
-        with T.no_grad():
-            totals = T.fsum(x, axis=(-2, -1)).data
-        assert totals.shape == (2,)
-        npt.assert_allclose(totals, x.data.sum(axis=(1, 2)), rtol=0, atol=1e-12)
-        probe = T.Tensor(rng.standard_normal(3))
-        check_gradients(lambda ls: (T.fsum(ls[0], axis=(0, 2)) * probe).sum(), [x])
 
     def test_bce_with_logits(self):
         rng = np.random.default_rng(13)
