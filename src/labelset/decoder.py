@@ -95,8 +95,7 @@ class BceHead(nn.Module):
         self.readout = self.add_child("readout", nn.Linear(rng, d_model, num_labels))
 
     def logits(self, memory: EncodedSentence) -> T.Tensor:
-        cls_state = T.gather(memory.hidden, (Ellipsis, [0], slice(None)))
-        return self.readout(cls_state).reshape(memory.hidden.shape[:-2] + (self.num_labels,))
+        return self.readout(T.gather(memory.hidden, (Ellipsis, 0, slice(None))))
 
     def loss(self, memory: EncodedSentence, gold) -> T.Tensor:
         """Mean binary cross entropy per sentence of ``gold`` label collections

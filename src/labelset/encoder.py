@@ -19,7 +19,7 @@ from . import nn, tensor as T
 from .errors import ContractError, VocabularyError
 
 PAD, CLS, SEP, OOV = 0, 1, 2, 3
-_SPECIALS = ("<pad>", "<cls>", "<sep>", "<oov>")
+SPECIALS = ("<pad>", "<cls>", "<sep>", "<oov>")
 
 
 def tokenize(text: str) -> list[str]:
@@ -37,8 +37,8 @@ class TokenVocabulary:
     """
 
     def __init__(self, tokens: list[str]):
-        self._names = list(_SPECIALS) + list(tokens)
-        self._index = {name: i for i, name in enumerate(self._names) if i >= len(_SPECIALS)}
+        self._names = list(SPECIALS) + list(tokens)
+        self._index = {name: i for i, name in enumerate(self._names) if i >= len(SPECIALS)}
         if len(set(self._names)) != len(self._names):
             raise VocabularyError("vocabulary contains duplicate tokens")
 
@@ -48,7 +48,7 @@ class TokenVocabulary:
         for text in texts:
             for token in tokenize(text):
                 seen.setdefault(token, None)
-        return cls([token for token in seen if token not in _SPECIALS])
+        return cls([token for token in seen if token not in SPECIALS])
 
     @property
     def size(self) -> int:

@@ -125,10 +125,10 @@ def load_matrix(path) -> np.ndarray:
 class GcnStack(nn.Module):
     """Learnable node features pushed through fixed graph propagation.
 
-    Each layer multiplies by the propagation matrix, applies a learned
-    linear map, then the activation.  The propagation matrix is a constant,
-    kept in the parameters' dtype; gradients reach only the node table and
-    the layer weights.
+    Each layer is ``act(Â·H·W)``: two ``linear`` nodes, then the activation.
+    Â, the propagation matrix, is a constant numpy array in the parameters'
+    dtype, so ``linear`` computes no gradient product for it; gradients
+    reach only the node table and the layer weights.
     """
 
     def __init__(self, rng: np.random.Generator, propagation: np.ndarray,
@@ -152,9 +152,8 @@ class GcnStack(nn.Module):
     def __call__(self) -> T.Tensor:
         act = T.relu if self.activation == "relu" else T.leaky_relu
         h = self.node_features
-        spread = T.Tensor(self.propagation)
         for weight in self.layer_weights:
-            h = act(spread @ h @ weight)
+            h = act(T.linear(T.linear(self.propagation, h), weight))
         return h
 
 
@@ -166,4 +165,4 @@ class QueryProjection(nn.Module):
         self.weight = self.register("weight", nn.uniform_init(rng, num_labels, (num_queries, num_labels)))
 
     def __call__(self, node_states: T.Tensor) -> T.Tensor:
-        return self.weight @ node_states
+        return T.linear(self.weight, node_states)

@@ -19,7 +19,7 @@ import numpy as np
 from . import nn, tensor as T
 from .data import Corpus, LabelVocabulary
 from .decoder import BceHead, PredictionSet, SetDecoder, predict_labels
-from .encoder import EncodedSentence, TokenVocabulary, TransformerEncoder
+from .encoder import SPECIALS, EncodedSentence, TokenVocabulary, TransformerEncoder
 from .errors import CheckpointError, ConfigError
 from .graph import GcnStack, LabelGraph, QueryProjection
 from .matching import COST_MODES
@@ -285,12 +285,18 @@ def _metadata(path, archive, name: str) -> np.ndarray:
     return archive[name]
 
 
-def _names(path, archive, name: str) -> list[str]:
-    """A stored 1-D metadata array of names, as strings."""
+def _names(path, archive, name: str, reserved: tuple[str, ...] = ()) -> list[str]:
+    """A stored 1-D metadata array of distinct names, as strings, that
+    starts with the ``reserved`` names; the names after those."""
     names = _metadata(path, archive, name)
     if names.ndim != 1:
         raise CheckpointError(f"checkpoint {path} array {name} has shape {names.shape}, not a list")
-    return [str(n) for n in names]
+    names = [str(n) for n in names]
+    if len(set(names)) != len(names):
+        raise CheckpointError(f"checkpoint {path} array {name} repeats a name")
+    if tuple(names[:len(reserved)]) != reserved:
+        raise CheckpointError(f"checkpoint {path} array {name} does not start with {list(reserved)}")
+    return names[len(reserved):]
 
 
 def load_checkpoint(path) -> Model:
@@ -318,7 +324,7 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(f"checkpoint {path} array __config__ is not a JSON object")
         config = RunConfig.from_dict(raw)
         label_vocab = LabelVocabulary(_names(path, archive, "__labels__"))
-        token_vocab = TokenVocabulary(_names(path, archive, "__tokens__")[4:])
+        token_vocab = TokenVocabulary(_names(path, archive, "__tokens__", SPECIALS))
         propagation = _checked_array(path, "__propagation__",
                                      _metadata(path, archive, "__propagation__"), np.float64)
         if propagation.size == 0:

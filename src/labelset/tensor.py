@@ -13,10 +13,12 @@ tape.  Leaves (tensors created with ``requires_grad=True``) keep a gradient
 buffer from creation, and it accumulates until the optimizer clears it.
 
 At the model's sizes the cost is per node, not per flop, so ``linear``
-(matrix product plus bias) and ``attention`` (head split, scores, mask,
-softmax, weighted sum, head merge) are fused: one node each.  Output
-distributions are taken as log-probabilities (``log_softmax``), which stay
-finite where a probability would underflow to 0.
+(matrix product plus optional bias) and ``attention`` (head split, scores,
+mask, softmax, weighted sum, head merge) are fused: one node each.  Every
+matrix product, the GCN's included, is one ``linear`` node, and a constant
+input gets no gradient product.  Output distributions are taken as
+log-probabilities (``log_softmax``), which stay finite where a probability
+would underflow to 0.
 
 A tensor keeps the float dtype of the array it wraps, so a model whose
 parameters are float32 runs in float32.  Numpy promotes a float32 array met
@@ -77,27 +79,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return _reduce(self, axis, keepdims, mean=False)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return _reduce(self, axis, keepdims, mean=True)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
 
 class Tape:
@@ -241,29 +233,6 @@ def neg(a) -> Tensor:
     return _record(-a.data, (a,), backward_fn)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product.  2-D operands follow the r×k @ k×c contract; higher
-    ranks are treated as stacks of matrices with broadcast leading axes."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise ShapeError(f"matmul cannot broadcast shapes {a.shape} and {b.shape}") from exc
-
-    def backward_fn(g):
-        # a constant operand (the GCN's propagation matrix) gets no product
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
-
-    return _record(out, (a, b), backward_fn)
-
-
 def _row_softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a numpy array, with max subtraction."""
     if not np.isfinite(x).all():
@@ -290,23 +259,27 @@ def log_softmax(x) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def linear(x, weight, bias) -> Tensor:
-    """``x @ weight + bias`` over the last axis of ``x``: one flat GEMM over
-    all leading axes, recorded as one node."""
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+def linear(x, weight, bias=None) -> Tensor:
+    """``x @ weight (+ bias)`` over the last axis of ``x``: one flat GEMM
+    over all leading axes, recorded as one node, the tape's only matrix
+    product.  A constant ``x`` gets no gradient product."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), bias if bias is None else as_tensor(bias)
     d_in, d_out = weight.shape
     if x.ndim < 1 or x.shape[-1] != d_in:
         raise ShapeError(f"linear expected last dim {d_in}, got {x.shape}")
     x2d = x.data.reshape(-1, d_in)
-    out = (x2d @ weight.data + bias.data).reshape(x.shape[:-1] + (d_out,))
+    out = x2d @ weight.data if bias is None else x2d @ weight.data + bias.data
 
     def backward_fn(g):
         g2d = g.reshape(-1, d_out)
         _accumulate(weight, x2d.T @ g2d)
-        _accumulate(bias, g2d.sum(axis=0))
-        _accumulate(x, (g2d @ weight.data.T).reshape(x.data.shape))
+        if bias is not None:
+            _accumulate(bias, g2d.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, (g2d @ weight.data.T).reshape(x.data.shape))
 
-    return _record(out, (x, weight, bias), backward_fn)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _record(out.reshape(x.shape[:-1] + (d_out,)), parents, backward_fn)
 
 
 def attention(q, k, v, num_heads: int, bias=None) -> Tensor:
@@ -414,17 +387,12 @@ def gather(x, index) -> Tensor:
 
 def _reduce(x, axis, keepdims, mean: bool) -> Tensor:
     x = as_tensor(x)
-    if mean:
-        out = x.data.mean(axis=axis, keepdims=keepdims)
-    else:
-        out = x.data.sum(axis=axis, keepdims=keepdims)
-    scale = x.size / max(out.size, 1) if mean else 1.0
+    out = (x.data.mean if mean else x.data.sum)(axis=axis, keepdims=keepdims)
+    scale = x.size / max(out.size, 1)
 
     def backward_fn(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(gg, x.data.shape) / scale if mean else np.broadcast_to(gg, x.data.shape))
+        spread = np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), x.data.shape)
+        _accumulate(x, spread / scale if mean else spread)
 
     return _record(out, (x,), backward_fn)
 
@@ -438,16 +406,6 @@ def custom_op(x, out_data, vjp) -> Tensor:
         _accumulate(x, vjp(g))
 
     return _record(out_data, (x,), backward_fn)
-
-
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    original = x.data.shape
-
-    def backward_fn(g):
-        _accumulate(x, g.reshape(original))
-
-    return _record(x.data.reshape(shape), (x,), backward_fn)
 
 
 def bce_with_logits(logits, targets) -> Tensor:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import labelset
 from labelset.cli import main
 from labelset.data import SyntheticSpec, generate_synthetic, synthetic_corpus, write_jsonl
 from labelset.errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK
@@ -148,6 +151,15 @@ class TestExitCodes:
         assert main(["graph"]) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: boom" in err
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        # ``python -m labelset.cli`` runs the same CLI as the console script
+        src = str(Path(labelset.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "labelset.cli", "graph", "--out", ""],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        assert "error:" in done.stderr
 
 
 class TestGraphCommand:
@@ -454,9 +466,12 @@ class TestEveryInputEndsInADocumentedExit:
     ("set_prediction", "__config__", lambda a: None),
     ("set_prediction", "__labels__", lambda a: None),
     ("set_prediction", "__labels__", lambda a: np.array("label0")),
+    ("set_prediction", "__labels__", lambda a: np.concatenate([a[:1], a[:-1]])),
+    ("set_prediction", "__tokens__", lambda a: np.concatenate([a[:-1], a[-2:-1]])),
+    ("set_prediction", "__tokens__", lambda a: np.concatenate([a[1:4], a[:1], a[4:]])),
 ], ids=["bce-nan", "set-nan", "set-inf", "complex", "string", "propagation-nan",
         "config-not-json", "config-null", "version-not-int", "config-missing", "labels-missing",
-        "labels-scalar"])
+        "labels-scalar", "labels-repeated", "tokens-repeated", "tokens-specials-reordered"])
 def test_predict_rejects_a_bad_checkpoint_array(tmp_path, capsys, head, name, poison):
     corpus = synthetic_corpus(SyntheticSpec(num_labels=5, vocab_size=30, train_size=24,
                                             valid_size=8, test_size=8, seed=11))

@@ -239,14 +239,24 @@ class TestGcn:
         queries = graph.QueryProjection(rng, num_queries=10, num_labels=54)(stack())
         assert queries.shape == (10, 64)
 
-    def test_gradients_flow_to_features_weights_projection(self):
+    def test_gradients_flow_to_features_weights_projection(self, monkeypatch):
         rng = np.random.default_rng(4)
         stack = graph.GcnStack(rng, np.eye(3), num_layers=1, width=2)
         proj = graph.QueryProjection(rng, num_queries=2, num_labels=3)
+        receivers = []
+        accumulate = T._accumulate
+
+        def recording(t, delta):
+            receivers.append(t)
+            accumulate(t, delta)
+
+        monkeypatch.setattr(T, "_accumulate", recording)
         T.reset_tape()
         T.backward(proj(stack()).sum())
         assert np.abs(stack.node_features.grad).sum() > 0
         assert np.abs(proj.weight.grad).sum() > 0
+        # the constant propagation matrix gets no gradient product
+        assert not any(t.data is stack.propagation for t in receivers)
         T.reset_tape()
 
     def test_config_validation(self):
