@@ -35,22 +35,6 @@ from .errors import ContractError
 from .matching import set_loss
 
 
-def bhattacharyya_pair(p, q) -> T.Tensor:
-    """Overlap coefficient of two probability vectors, in [0, 1], as a
-    constant: the reference the batched ``bc_penalty`` is checked against."""
-    p, q = T.as_tensor(p), T.as_tensor(q)
-    for vec in (p, q):
-        if vec.ndim != 1:
-            raise ContractError(f"expected probability vectors, got shape {vec.shape}")
-        if (vec.data < 0.0).any():
-            raise ContractError("probability vector has negative entries")
-        if abs(vec.data.sum() - 1.0) > 1e-9:
-            raise ContractError(f"probability vector sums to {vec.data.sum()!r}, not 1")
-    if p.shape != q.shape:
-        raise ContractError(f"length mismatch: {p.shape} vs {q.shape}")
-    return T.Tensor(np.sqrt(p.data * q.data).sum())
-
-
 def bc_penalty(ps: PredictionSet) -> T.Tensor:
     """Sum of pairwise overlap coefficients over all m(m-1)/2 slot pairs,
     one sum per sentence of a batch, recorded as one tape node.
@@ -103,9 +87,3 @@ def objective(gold: np.ndarray, ps: PredictionSet, bc_weight: float,
         return Objective(loss, loss, None)
     penalty = bc_penalty(ps)
     return Objective(loss + penalty * bc_weight, loss, penalty)
-
-
-def total_loss(gold: np.ndarray, ps: PredictionSet, bc_weight: float,
-               cost_mode: str = "prob") -> T.Tensor:
-    """The ``total`` of ``objective``."""
-    return objective(gold, ps, bc_weight, cost_mode).total

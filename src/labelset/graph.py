@@ -112,16 +112,6 @@ def dump_matrix(path, matrix: np.ndarray) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        k = int(fh.readline())
-        rows = [np.fromstring(fh.readline(), sep=" ") for _ in range(k)]
-    matrix = np.vstack(rows)
-    if matrix.shape != (k, k):
-        raise GraphConstructionError(f"matrix dump at {path} is not {k}x{k}")
-    return matrix
-
-
 class GcnStack(nn.Module):
     """Learnable node features pushed through fixed graph propagation.
 

@@ -15,10 +15,11 @@ buffer from creation, and it accumulates until the optimizer clears it.
 At the model's sizes the cost is per node, not per flop, so ``linear``
 (matrix product plus optional bias) and ``attention`` (head split, scores,
 mask, softmax, weighted sum, head merge) are fused: one node each.  Every
-matrix product, the GCN's included, is one ``linear`` node, and a constant
-input gets no gradient product.  Output distributions are taken as
-log-probabilities (``log_softmax``), which stay finite where a probability
-would underflow to 0.
+matrix product, the GCN's included, is one ``linear`` node.  A constant
+operand of ``linear``, ``add`` or ``mul`` gets no gradient product.  Output
+distributions are taken as log-probabilities (``log_softmax``), which stay
+finite where a probability would underflow to 0.  ``gelu`` is the tanh form,
+a polynomial and one ``tanh`` instead of the far costlier ``erf``.
 
 A tensor keeps the float dtype of the array it wraps, so a model whose
 parameters are float32 runs in float32.  Numpy promotes a float32 array met
@@ -34,13 +35,17 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit
 
 from .errors import ContractError, NumericDomainError, ShapeError
 
-# Python floats, not numpy float64 scalars, which would promote float32 arrays
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# the tanh-form GELU's cubic is x·(a + b·x²); Python floats, not numpy
+# float64 scalars, which would promote float32 arrays
+_GELU_A = math.sqrt(2.0 / math.pi)
+_GELU_B = 0.044715 * _GELU_A
+# past this |x| the cubic exceeds 43, so its tanh is exactly ±1 in float32
+# and float64: clipping there changes no bit and keeps x³ from overflowing
+_GELU_CLIP = 10.0
 
 
 class Tensor:
@@ -208,8 +213,10 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _record(a.data + b.data, (a, b), backward_fn)
 
@@ -218,8 +225,10 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(a.data * b.data, (a, b), backward_fn)
 
@@ -333,13 +342,31 @@ def leaky_relu(x, slope: float = 0.01) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """GELU in the tanh form (Hendrycks and Gimpel, arXiv 1606.08415):
+    ``0.5·x·(1 + t)`` with ``t = tanh(√(2/π)·x·(1 + 0.044715·x²))``, within
+    5e-4 of the erf form.  The backward reuses the saved ``0.5·(1 + t)``.
+    Every finite input gives a finite value and gradient without overflow."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    clipped = np.clip(x.data, -_GELU_CLIP, _GELU_CLIP)
+    cdf = clipped * clipped
+    cdf *= _GELU_B
+    cdf += _GELU_A
+    cdf *= clipped
+    cdf = np.tanh(cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward_fn(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        _accumulate(x, g * (cdf + x.data * pdf))
+        # cdf + x·(1 − t²)/2·(a + 3b·x²), with 1 − t² = 4·cdf·(1 − cdf); the
+        # second term is exactly 0 past the clip, so it may read clipped x
+        slope = clipped * clipped
+        slope *= 6.0 * _GELU_B
+        slope += 2.0 * _GELU_A
+        slope *= clipped
+        slope *= cdf * (1.0 - cdf)
+        slope += cdf
+        slope *= g
+        _accumulate(x, slope)
 
     return _record(x.data * cdf, (x,), backward_fn)
 

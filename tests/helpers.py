@@ -1,8 +1,11 @@
-"""Shared numeric-check utilities for the test suite."""
+"""Shared numeric-check utilities and oracles for the test suite."""
 
 import numpy as np
 
 from labelset import tensor as T
+from labelset.decoder import PredictionSet
+from labelset.diversity import objective
+from labelset.errors import ContractError, GraphConstructionError
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-3
@@ -72,3 +75,36 @@ def check_gradients(build_graph, leaves, tol: float = GRAD_TOL, step: float = FD
 
 def leaf(rng, *shape, scale: float = 1.0):
     return T.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+
+
+def bhattacharyya_pair(p, q) -> T.Tensor:
+    """Overlap coefficient of two probability vectors, in [0, 1], as a
+    constant: the reference the batched ``bc_penalty`` is checked against."""
+    p, q = T.as_tensor(p), T.as_tensor(q)
+    for vec in (p, q):
+        if vec.ndim != 1:
+            raise ContractError(f"expected probability vectors, got shape {vec.shape}")
+        if (vec.data < 0.0).any():
+            raise ContractError("probability vector has negative entries")
+        if abs(vec.data.sum() - 1.0) > 1e-9:
+            raise ContractError(f"probability vector sums to {vec.data.sum()!r}, not 1")
+    if p.shape != q.shape:
+        raise ContractError(f"length mismatch: {p.shape} vs {q.shape}")
+    return T.Tensor(np.sqrt(p.data * q.data).sum())
+
+
+def total_loss(gold: np.ndarray, ps: PredictionSet, bc_weight: float,
+               cost_mode: str = "prob") -> T.Tensor:
+    """The ``total`` of ``diversity.objective``."""
+    return objective(gold, ps, bc_weight, cost_mode).total
+
+
+def load_matrix(path) -> np.ndarray:
+    """Read back a ``graph.dump_matrix`` text dump."""
+    with open(path, encoding="utf-8") as fh:
+        k = int(fh.readline())
+        rows = [np.fromstring(fh.readline(), sep=" ") for _ in range(k)]
+    matrix = np.vstack(rows)
+    if matrix.shape != (k, k):
+        raise GraphConstructionError(f"matrix dump at {path} is not {k}x{k}")
+    return matrix

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import labelset.tensor as T
-from helpers import check_gradients
+from helpers import bhattacharyya_pair, check_gradients, total_loss
 from labelset.data import (
     RawRecord,
     Sample,
@@ -22,7 +22,7 @@ from labelset.data import (
     synthetic_corpus,
 )
 from labelset.decoder import PredictionSet
-from labelset.diversity import bc_penalty, bhattacharyya_pair, total_loss
+from labelset.diversity import bc_penalty
 from labelset.graph import (
     build_counts,
     conditional_probabilities,

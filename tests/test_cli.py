@@ -19,6 +19,8 @@ from labelset.data import SyntheticSpec, generate_synthetic, synthetic_corpus, w
 from labelset.errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK
 from labelset.model import RunConfig, build_model, save_checkpoint
 
+from helpers import load_matrix
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -164,8 +166,6 @@ class TestExitCodes:
 
 class TestGraphCommand:
     def test_artifacts_and_summary(self, tmp_path, corpus_dir, capsys):
-        from labelset.graph import load_matrix
-
         cfg = tmp_path / "c.json"
         out = tmp_path / "out"
         write_config(cfg, corpus_dir, out_dir=str(out), tau=0.1)
@@ -189,7 +189,6 @@ class TestGraphCommand:
         # dumped conditional matrix must put a heavy edge there.  Matrix rows
         # follow first-occurrence vocab order, so map names to indices first.
         from labelset.data import build_corpus, read_jsonl
-        from labelset.graph import load_matrix
 
         cfg = tmp_path / "c.json"
         out = tmp_path / "out"

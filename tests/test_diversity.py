@@ -8,7 +8,7 @@ from labelset import diversity, matching, tensor as T
 from labelset.decoder import PredictionSet
 from labelset.errors import ContractError
 
-from helpers import check_gradients
+from helpers import bhattacharyya_pair, check_gradients, total_loss
 
 
 @pytest.fixture(autouse=True)
@@ -25,15 +25,15 @@ def normalized_rows(rng, m, classes):
 
 class TestPairCoefficient:
     def test_identical_distributions_give_one(self):
-        value = float(diversity.bhattacharyya_pair([0.3, 0.7], [0.3, 0.7]).data)
+        value = float(bhattacharyya_pair([0.3, 0.7], [0.3, 0.7]).data)
         npt.assert_allclose(value, 1.0, rtol=0, atol=1e-12)
 
     def test_disjoint_support_gives_exact_zero(self):
-        value = float(diversity.bhattacharyya_pair([1.0, 0.0], [0.0, 1.0]).data)
+        value = float(bhattacharyya_pair([1.0, 0.0], [0.0, 1.0]).data)
         assert value == 0.0
 
     def test_worked_example(self):
-        value = float(diversity.bhattacharyya_pair([0.5, 0.5], [0.8, 0.2]).data)
+        value = float(bhattacharyya_pair([0.5, 0.5], [0.8, 0.2]).data)
         direct = np.sqrt(0.5 * 0.8) + np.sqrt(0.5 * 0.2)
         npt.assert_allclose(value, direct, rtol=0, atol=1e-12)
         npt.assert_allclose(value, 0.94868, atol=5e-6)
@@ -42,18 +42,18 @@ class TestPairCoefficient:
         rng = np.random.default_rng(0)
         for _ in range(200):
             p, q = normalized_rows(rng, 2, 6)
-            value = float(diversity.bhattacharyya_pair(p, q).data)
+            value = float(bhattacharyya_pair(p, q).data)
             assert 0.0 <= value <= 1.0 + 1e-12
 
     def test_validation(self):
         with pytest.raises(ContractError):
-            diversity.bhattacharyya_pair([0.5, 0.5], [0.5, 0.3, 0.2])
+            bhattacharyya_pair([0.5, 0.5], [0.5, 0.3, 0.2])
         with pytest.raises(ContractError):
-            diversity.bhattacharyya_pair([0.4, 0.4], [0.5, 0.5])
+            bhattacharyya_pair([0.4, 0.4], [0.5, 0.5])
         with pytest.raises(ContractError):
-            diversity.bhattacharyya_pair([-0.1, 1.1], [0.5, 0.5])
+            bhattacharyya_pair([-0.1, 1.1], [0.5, 0.5])
         with pytest.raises(ContractError):
-            diversity.bhattacharyya_pair([[0.5, 0.5]], [[0.5, 0.5]])
+            bhattacharyya_pair([[0.5, 0.5]], [[0.5, 0.5]])
 
 
 class TestPenalty:
@@ -68,7 +68,7 @@ class TestPenalty:
 
     def test_two_rows_equal_pair_value(self):
         ps = PredictionSet(T.Tensor(np.log(np.array([[0.5, 0.5], [0.8, 0.2]]))))
-        pair = float(diversity.bhattacharyya_pair([0.5, 0.5], [0.8, 0.2]).data)
+        pair = float(bhattacharyya_pair([0.5, 0.5], [0.8, 0.2]).data)
         npt.assert_allclose(float(diversity.bc_penalty(ps).data), pair, rtol=0, atol=1e-15)
 
     def test_bounds_and_pair_sum_oracle(self):
@@ -218,7 +218,7 @@ class TestTotalLoss:
         rows = normalized_rows(rng, 3, 5)
         gold = matching.pad_gold([0, 2], 3, null_index=4)
         ps = PredictionSet(T.Tensor(np.log(rows)))
-        combined = float(diversity.total_loss(gold, ps, bc_weight=0.0).data)
+        combined = float(total_loss(gold, ps, bc_weight=0.0).data)
         alone = float(matching.set_loss(gold, ps).data)
         assert combined == alone
 
@@ -230,14 +230,14 @@ class TestTotalLoss:
         ])
         ps = PredictionSet(T.Tensor(np.log(rows)))
         gold = np.array([1, 2])
-        value = float(diversity.total_loss(gold, ps, bc_weight=1.0).data)
-        pair = float(diversity.bhattacharyya_pair(rows[0], rows[1]).data)
+        value = float(total_loss(gold, ps, bc_weight=1.0).data)
+        pair = float(bhattacharyya_pair(rows[0], rows[1]).data)
         npt.assert_allclose(value, np.log(8.0) + pair, rtol=0, atol=1e-12)
 
     def test_negative_weight_rejected(self):
         ps = PredictionSet(T.Tensor(np.log(np.array([[0.5, 0.5]]))))
         with pytest.raises(ContractError):
-            diversity.total_loss(np.array([1]), ps, bc_weight=-0.5)
+            total_loss(np.array([1]), ps, bc_weight=-0.5)
 
     def test_gradient_check_full_objective(self):
         rng = np.random.default_rng(5)
@@ -246,6 +246,6 @@ class TestTotalLoss:
 
         def build(ls):
             ps = PredictionSet(T.log_softmax(ls[0]))
-            return diversity.total_loss(gold, ps, bc_weight=0.3)
+            return total_loss(gold, ps, bc_weight=0.3)
 
         check_gradients(build, [logits])

@@ -10,6 +10,8 @@ from labelset import graph, tensor as T
 from labelset.data import Dataset, LabelVocabulary, Sample
 from labelset.errors import ConfigError, ContractError, GraphConstructionError
 
+from helpers import load_matrix
+
 
 # --- independent oracle: naive per-sample loops, no vectorization ---------
 
@@ -275,7 +277,7 @@ class TestDump:
         lines = path.read_text().splitlines()
         assert lines[0] == "4"
         assert len(lines) == 5
-        npt.assert_array_equal(graph.load_matrix(path), matrix)
+        npt.assert_array_equal(load_matrix(path), matrix)
 
     def test_graph_summary_fields(self):
         ds, vocab = dataset_from_sets([(0, 1), (0, 1), (2,)], k=3)

@@ -1,10 +1,14 @@
 """Gradient and invariant checks for the autodiff core."""
 
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from labelset import nn, tensor as T
 from labelset.errors import ContractError, NumericDomainError, ShapeError
@@ -196,6 +200,25 @@ class TestConstantOperands:
         T.backward(loss)
         assert not any(t.data is spread for t in receivers)
         npt.assert_allclose(h.grad, spread.T @ probe, rtol=0, atol=1e-14)
+
+
+class TestGelu:
+    def test_within_5e_4_of_the_erf_form(self):
+        x = np.linspace(-10.0, 10.0, 20001)
+        exact = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+        assert np.abs(T.gelu(x).data - exact).max() <= 5e-4
+
+    def test_extreme_float32_inputs_give_finite_float32_values_and_gradients(self):
+        big = float(np.finfo(np.float32).max)
+        x = T.Tensor(np.array([big, 1e18, 50.0, 0.0, -50.0, -1e18, -big], dtype=np.float32),
+                     requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.gelu(x)
+            T.backward(out.sum())
+        assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
+        npt.assert_array_equal(out.data, np.maximum(x.data, 0.0))
+        npt.assert_array_equal(x.grad, [1.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0])
 
 
 def _layer_norm_oracle(x, gamma, beta, g, eps=1e-5):

@@ -3,9 +3,13 @@
 import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import labelset.tensor as T
 import labelset.training as training_mod
@@ -405,6 +409,28 @@ class TestBatchLoss:
         assert nodes / 8 <= 12, f"{nodes} tape nodes for 8 samples"
 
 
+    def test_constant_operands_get_no_gradient_product(self, monkeypatch):
+        # dropout masks and the penalty weight enter ``mul`` as constants
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(dropout=0.1), corpus)
+        batch = next(batch_iterator(corpus.train, 8, clip=model.encoder.clip))
+        T.reset_tape()
+        loss = batch_loss(model, batch, model.queries(), np.random.default_rng(0), train=True)
+        constants = [p for node in T.active_tape().nodes for p in node._parents if not p.requires_grad]
+        receivers = []
+        accumulate = T._accumulate
+
+        def recording(t, delta):
+            receivers.append(t)
+            accumulate(t, delta)
+
+        monkeypatch.setattr(T, "_accumulate", recording)
+        T.backward(loss.total)
+        T.reset_tape()
+        assert len(constants) > 10 and receivers
+        assert all(t.requires_grad for t in receivers)
+
+
 K64_SPEC = {"num_labels": 64, "vocab_size": 160, "extra_label_prob": 0.25}
 PRECISION_CASES = {
     "default": ({}, {}),
@@ -474,3 +500,55 @@ class TestFloat32:
         for name, g64 in high.items():
             err = np.linalg.norm(low[name] - g64)
             assert err <= 1e-5 * max(np.linalg.norm(g64), 1e-3 * overall), name
+
+
+# tiny corpora and models over the ranges a user can set: one or two heads
+# of width 1 to 4, learning rates up to 1e3, penalty weights up to 100
+TRAINING_RUNS = st.fixed_dictionaries({
+    "spec": st.builds(
+        lambda k, fillers, n_train, n_valid, seed: SyntheticSpec(
+            num_labels=k, vocab_size=k + fillers, train_size=n_train, valid_size=n_valid,
+            test_size=3, bias_pairs=(), min_fillers=0, max_fillers=fillers, seed=seed),
+        st.integers(1, 5), st.integers(1, 6), st.integers(1, 11), st.integers(1, 4),
+        st.integers(0, 2**16)),
+    "config": st.builds(
+        lambda heads, head_width, **kw: dict(
+            d_model=heads * head_width, encoder_heads=heads, decoder_heads=heads, **kw),
+        st.integers(1, 2), st.integers(1, 4),
+        max_len=st.integers(3, 9),
+        batch_size=st.integers(1, 5),
+        learning_rate=st.sampled_from([1e-3, 1e-1, 10.0, 1e3]),
+        bc_weight=st.sampled_from([0.0, 0.1, 1.0, 100.0]),
+        dropout=st.sampled_from([0.0, 0.5]),
+        head=st.sampled_from(["set_prediction", "bce"]),
+        cost_mode=st.sampled_from(["prob", "log_prob"]),
+        use_gcn=st.booleans(),
+        freeze_encoder=st.booleans(),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 3)),
+})
+
+
+class TestTrainingProperty:
+    @given(run=TRAINING_RUNS)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_training_finishes_finite_or_diverges_and_its_best_checkpoint_serves(self, run):
+        corpus = synthetic_corpus(run["spec"])
+        model = build_model(tiny_config(**run["config"]), corpus)
+        rows = [sample.tokens for sample in corpus.valid] + [sample.tokens for sample in corpus.test]
+        with tempfile.TemporaryDirectory() as out_dir:
+            try:
+                result = train(model, corpus, out_dir=out_dir)
+            except TrainingDiverged:
+                result = None
+            with open(os.path.join(out_dir, "train_log.jsonl"), encoding="utf-8") as fh:
+                logged = [json.loads(line) for line in fh]
+            assert all(math.isfinite(value) for row in logged for value in row.values())
+            best = os.path.join(out_dir, "best.npz")
+            assert os.path.exists(best) == bool(logged)
+            if logged:
+                restored = load_checkpoint(best)
+            if result is not None:
+                assert len(logged) == model.config.epochs
+                if result.best_epoch == model.config.epochs:
+                    assert restored.predict_many(rows) == model.predict_many(rows)
