@@ -26,6 +26,9 @@ from .matching import COST_MODES
 
 CHECKPOINT_VERSION = 1
 HEADS = ("set_prediction", "bce")
+# tokens per serving chunk in predict_many: equal-length rows run together up
+# to this many tokens, which bounds each chunk's activations by its real size
+SERVE_TOKENS = 1024
 
 
 @dataclass
@@ -198,10 +201,12 @@ class Model(nn.Module):
     def predict_many(self, token_rows) -> list[set[int]]:
         """Label sets of many token rows, in input order.
 
-        Rows are clipped, then batched only with rows of the same length, at
-        most ``batch_size`` at a time, so no row is padded and no row's
-        labels depend on the other rows.  The label queries are computed
-        once per call."""
+        Rows are clipped, then batched only with rows of the same length,
+        ``SERVE_TOKENS // length`` rows at a time (at least one), so no row
+        is padded, no row's labels depend on the other rows, and each chunk's
+        activations stay within a fixed token budget whatever ``max_len``
+        and ``batch_size`` are.  The label queries are computed once per
+        call."""
         rows = [self.encoder.clip(row) for row in token_rows]
         by_length: dict[int, list[int]] = {}
         for i, row in enumerate(rows):
@@ -209,9 +214,10 @@ class Model(nn.Module):
         out: list = [None] * len(rows)
         with T.no_grad():
             queries = self.queries()
-            for group in by_length.values():
-                for start in range(0, len(group), self.config.batch_size):
-                    chunk = group[start:start + self.config.batch_size]
+            for length, group in by_length.items():
+                size = max(1, SERVE_TOKENS // length)
+                for start in range(0, len(group), size):
+                    chunk = group[start:start + size]
                     memory = self.encode(np.stack([rows[i] for i in chunk]))
                     labels = (self.bce.predict(memory) if self.bce is not None
                               else predict_labels(self.decode(queries, memory)))

@@ -146,6 +146,8 @@ class EpochRecord:
     bc_penalty: float
     grad_norm: float    # mean over the epoch's batches of the L2 norm of the gradient before a step
     valid_f1: float
+    valid_precision: float
+    valid_recall: float
     valid_hamming: float
 
 
@@ -208,6 +210,8 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
                                  bc_penalty=penalty,
                                  grad_norm=grad_norm,
                                  valid_f1=valid_report["f1"],
+                                 valid_precision=valid_report["precision"],
+                                 valid_recall=valid_report["recall"],
                                  valid_hamming=valid_report["hamming_loss"])
             result.history.append(record)
             if log_fh is not None:

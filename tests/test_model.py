@@ -1,15 +1,21 @@
 """Model assembly, configuration validation, and checkpoint round trips."""
 
 import json
+import math
 import os
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import labelset.model as model_module
 import labelset.tensor as T
 from labelset.data import SyntheticSpec, synthetic_corpus
+from labelset.encoder import CLS, SEP, SPECIALS
 from labelset.errors import CheckpointError, ConfigError
 from labelset.model import (
+    SERVE_TOKENS,
     Model,
     RunConfig,
     build_model,
@@ -48,6 +54,56 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def random_rows(model, count, length, seed=0):
+    """``count`` unpadded sentences of ``length`` tokens: CLS, random words, SEP."""
+    rows = np.random.default_rng(seed).integers(
+        len(SPECIALS), model.token_vocab.size, size=(count, length))
+    rows[:, 0], rows[:, -1] = CLS, SEP
+    return rows
+
+
+def head_output(model, tokens):
+    """The head's output for one row or a batch: slot log-probs, or the bce
+    logits."""
+    with T.no_grad():
+        memory = model.encode(tokens)
+        if model.bce is not None:
+            return model.bce.logits(memory).data
+        return model.decode(model.queries(), memory).log_probs.data
+
+
+def serving_calls(monkeypatch, model):
+    """Record each chunk a later ``predict_many`` runs: a list of its
+    ``encode`` tokens, its mask and the head output for it."""
+    calls = []
+    encode = model.encode
+
+    def recording_encode(tokens, mask=None, **kwargs):
+        calls.append([np.array(tokens), mask, None])
+        return encode(tokens, mask, **kwargs)
+
+    monkeypatch.setattr(model, "encode", recording_encode)
+    if model.bce is not None:
+        logits = model.bce.logits
+
+        def recording_logits(memory):
+            out = logits(memory)
+            calls[-1][2] = out.data
+            return out
+
+        monkeypatch.setattr(model.bce, "logits", recording_logits)
+    else:
+        decode = model.decode
+
+        def recording_decode(queries, memory, **kwargs):
+            out = decode(queries, memory, **kwargs)
+            calls[-1][2] = out.log_probs.data
+            return out
+
+        monkeypatch.setattr(model, "decode", recording_decode)
+    return calls
 
 
 class TestRunConfig:
@@ -164,24 +220,63 @@ class TestModelAssembly:
         assert all(0 <= l < corpus.label_vocab.size for l in got)
 
     @pytest.mark.parametrize("head", ["set_prediction", "bce"])
-    def test_rows_batched_by_length_match_predict_bitwise(self, head):
+    def test_rows_batched_by_length_match_predict_bitwise(self, monkeypatch, head):
         corpus = synthetic_corpus(SyntheticSpec())
         model = build_model(RunConfig(head=head), corpus)
-        rows = [sample.tokens for sample in corpus.valid]
-        lengths = sorted({row.shape[0] for row in rows})
-        assert len(lengths) >= 3
-        assert max(sum(r.shape[0] == n for r in rows) for n in lengths) > model.config.batch_size
-        assert model.predict_many(rows) == [model.predict(row) for row in rows]
-        if head == "bce":
-            return
-        with T.no_grad():
-            queries = model.queries()
-            for length in lengths:
-                group = [row for row in rows if row.shape[0] == length]
-                batched = model.decode(queries, model.encode(np.stack(group))).log_probs.data
-                for row, log_probs in zip(group, batched):
-                    alone = model.decode(queries, model.encode(row)).log_probs.data
-                    assert log_probs.tobytes() == alone.tobytes()
+        # the valid split's lengths, and one group of 40-token rows that
+        # needs three chunks of SERVE_TOKENS // 40 = 25 rows
+        rows = [sample.tokens for sample in corpus.valid] + list(random_rows(model, 60, 40))
+        assert len({row.shape[0] for row in rows}) >= 4
+        alone = {row.tobytes(): head_output(model, row[None])[0].tobytes() for row in rows}
+        # OpenBLAS hands a one-row GEMM to GEMV, which rounds differently, so
+        # the bce readout of a lone row can differ in the last bit from the
+        # same row among others; rows of a multi-row GEMM do not depend on
+        # their neighbours, so a row paired with itself stands for any chunk
+        paired = {row.tobytes(): head_output(model, np.stack([row, row]))[0].tobytes()
+                  for row in rows}
+        if head == "set_prediction":
+            assert paired == alone
+        expected = [model.predict(row) for row in rows]
+        calls = serving_calls(monkeypatch, model)
+        assert model.predict_many(rows) == expected
+        widths = [tokens.shape[1] for tokens, _, _ in calls]
+        assert max(widths.count(width) for width in widths) >= 2
+        assert max(len(tokens) for tokens, _, _ in calls) > 8
+        for tokens, _, output in calls:
+            reference = alone if len(tokens) == 1 else paired
+            for row, row_output in zip(tokens, output):
+                assert row_output.tobytes() == reference[row.tobytes()]
+
+    def test_serving_ignores_batch_size(self, monkeypatch):
+        corpus = synthetic_corpus(SyntheticSpec())
+        models = [build_model(RunConfig(batch_size=size), corpus) for size in (1, 64)]
+        rows = [sample.tokens for sample in corpus.valid] + list(random_rows(models[0], 30, 40))
+        served = []
+        for model in models:
+            calls = serving_calls(monkeypatch, model)
+            labels = model.predict_many(rows)
+            served.append(([p.data.tobytes() for p in model.named_parameters().values()],
+                           [(tokens.tobytes(), output.tobytes()) for tokens, _, output in calls],
+                           labels))
+            monkeypatch.undo()
+        assert served[0] == served[1]
+
+    def test_predict_many_peak_memory_does_not_grow_with_the_group(self):
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(), corpus)
+        rows = list(random_rows(model, 2000, 42))
+        model.predict_many(rows[:1])   # one-time allocations stay out of both peaks
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                model.predict_many(rows[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a whole-group chunk of 2,000 rows would hold about 10x the 200-row peak
+        assert peak(2000) - peak(200) <= 2 ** 20
 
     def test_predict_many_computes_the_queries_once(self, monkeypatch):
         corpus = synthetic_corpus(SyntheticSpec())
@@ -202,22 +297,27 @@ class TestModelAssembly:
     def test_predict_many_clips_and_keeps_order(self, monkeypatch):
         corpus = tiny_corpus()
         model = build_model(tiny_config(max_len=5, batch_size=2), corpus)
-        rows = [sample.tokens for sample in corpus.valid]
+        rows = [sample.tokens for sample in corpus.valid] + [sample.tokens for sample in corpus.test]
         assert any(row.shape[0] > 5 for row in rows)
-        batches = []
-        encode = model.encode
-
-        def recording(tokens, mask=None, **kwargs):
-            batches.append((np.array(tokens), mask))
-            return encode(tokens, mask, **kwargs)
-
-        monkeypatch.setattr(model, "encode", recording)
-        got = model.predict_many(rows)
-        # unpadded batches of at most batch_size rows and max_len tokens, every row once
-        assert all(mask is None and tokens.ndim == 2 and len(tokens) <= 2 and (tokens != 0).all()
-                   and tokens.shape[1] <= 5 for tokens, mask in batches)
-        assert sum(len(tokens) for tokens, _ in batches) == len(rows)
-        assert got == [model.predict(row) for row in rows]
+        clipped = [model.encoder.clip(row) for row in rows]
+        lengths = Counter(row.shape[0] for row in clipped)
+        expected = [model.predict(row) for row in rows]
+        # the real budget, one that splits groups, and one below a row's length
+        for budget in (SERVE_TOKENS, 12, 4):
+            monkeypatch.setattr(model_module, "SERVE_TOKENS", budget)
+            calls = serving_calls(monkeypatch, model)
+            assert model.predict_many(rows) == expected
+            # unpadded chunks of at most max_len tokens a row, each one row or
+            # at most `budget` tokens, as many rows as the budget allows
+            assert all(mask is None and tokens.ndim == 2 and (tokens != 0).all()
+                       and tokens.shape[1] <= 5 for tokens, mask, _ in calls)
+            assert all(len(tokens) == 1 or tokens.size <= budget for tokens, _, _ in calls)
+            assert len(calls) == sum(math.ceil(count / max(1, budget // length))
+                                     for length, count in lengths.items())
+            # every row once
+            assert sorted(row.tobytes() for tokens, _, _ in calls for row in tokens) == \
+                sorted(row.tobytes() for row in clipped)
+            monkeypatch.undo()
         assert model.predict_many([]) == []
 
     def test_freeze_encoder_filters_trainables(self):

@@ -163,8 +163,15 @@ class TestTrainingLoop:
         assert len(on_disk) == 3
         assert on_disk[0]["epoch"] == 1
         assert set(on_disk[0]) == {"epoch", "train_loss", "set_loss", "bc_penalty",
-                                   "grad_norm", "valid_f1", "valid_hamming"}
+                                   "grad_norm", "valid_f1", "valid_precision",
+                                   "valid_recall", "valid_hamming"}
         assert all(math.isfinite(row["grad_norm"]) and row["grad_norm"] > 0.0 for row in on_disk)
+        for row in on_disk:
+            p, r = row["valid_precision"], row["valid_recall"]
+            assert row["valid_f1"] == (2 * p * r / (p + r) if p + r else 0.0)
+        final = evaluate(model, corpus.valid)
+        assert (on_disk[-1]["valid_precision"], on_disk[-1]["valid_recall"]) == \
+            (final["precision"], final["recall"])
         assert [row["train_loss"] for row in on_disk] == [
             r.train_loss for r in result.history
         ]
@@ -184,8 +191,7 @@ class TestTrainingLoop:
             runs.append((result.history, rep))
         hist_a, rep_a = runs[0]
         hist_b, rep_b = runs[1]
-        assert [r.train_loss for r in hist_a] == [r.train_loss for r in hist_b]
-        assert [r.valid_f1 for r in hist_a] == [r.valid_f1 for r in hist_b]
+        assert hist_a == hist_b
         assert rep_a == rep_b
 
     def test_two_seeded_runs_with_dropout_bit_identical(self):
