@@ -10,7 +10,10 @@ flag, or an abbreviation of one, is a usage error before anything runs.
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 3 numeric failure, 4 internal error (the traceback is printed).  BLAS thread
 pools are pinned to one thread before numpy loads so training runs are
-reproducible and desk-scale timings honest.
+reproducible and desk-scale timings honest.  ``eval`` and ``predict`` run
+the chunks of an input of at least 2,048 tokens (twice the 1,024-token
+serving chunk) on one thread per CPU; each product still runs on one BLAS
+thread, so the output is the same on any number of CPUs.
 """
 
 from __future__ import annotations

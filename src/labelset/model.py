@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -124,6 +125,13 @@ class RunConfig:
         return self.bc_weight if self.use_bc else 0.0
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_num_queries(config: RunConfig, corpus: Corpus) -> int:
     """Default slot count: largest training gold set plus two, capped at K."""
     if config.num_queries is not None:
@@ -206,23 +214,46 @@ class Model(nn.Module):
         is padded, no row's labels depend on the other rows, and each chunk's
         activations stay within a fixed token budget whatever ``max_len``
         and ``batch_size`` are.  The label queries are computed once per
-        call."""
+        call.
+
+        A call of at least ``2 * SERVE_TOKENS`` tokens, on a process that may
+        run on more than one CPU, runs its chunks on a pool of one thread per
+        CPU, created for the call; smaller calls, where threads would cost
+        more than they overlap, run them one after another.  Both ways give
+        the same bytes, since chunks only read the parameters and the
+        queries, and each matrix product still runs on one BLAS thread.  A
+        chunk's error surfaces only after every chunk already running has
+        finished (the rest never start), and it is the error the serial loop
+        would raise first."""
         rows = [self.encoder.clip(row) for row in token_rows]
         by_length: dict[int, list[int]] = {}
         for i, row in enumerate(rows):
             by_length.setdefault(row.shape[0], []).append(i)
-        out: list = [None] * len(rows)
+        chunks = []
+        for length, group in by_length.items():
+            size = max(1, SERVE_TOKENS // length)
+            chunks += [group[start:start + size] for start in range(0, len(group), size)]
+        tokens = sum(row.shape[0] for row in rows)
+        workers = _cpu_count() if tokens >= 2 * SERVE_TOKENS else 1
         with T.no_grad():
             queries = self.queries()
-            for length, group in by_length.items():
-                size = max(1, SERVE_TOKENS // length)
-                for start in range(0, len(group), size):
-                    chunk = group[start:start + size]
-                    memory = self.encode(np.stack([rows[i] for i in chunk]))
-                    labels = (self.bce.predict(memory) if self.bce is not None
-                              else predict_labels(self.decode(queries, memory)))
-                    for i, row_labels in zip(chunk, labels):
-                        out[i] = row_labels
+
+            def run(chunk):
+                memory = self.encode(np.stack([rows[i] for i in chunk]))
+                return (self.bce.predict(memory) if self.bce is not None
+                        else predict_labels(self.decode(queries, memory)))
+
+            if workers > 1:
+                # the with exit waits for every started chunk, even after one
+                # raises, so none runs once no_grad restores the grad flag
+                with ThreadPoolExecutor(workers) as pool:
+                    results = list(pool.map(run, chunks))
+            else:
+                results = [run(chunk) for chunk in chunks]
+        out: list = [None] * len(rows)
+        for chunk, labels in zip(chunks, results):
+            for i, row_labels in zip(chunk, labels):
+                out[i] = row_labels
         return out
 
     def trainable_parameters(self) -> dict[str, T.Tensor]:

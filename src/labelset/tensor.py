@@ -4,7 +4,9 @@ Everything here is deliberately small and single threaded: operations execute
 eagerly on numpy arrays and record themselves on a global tape, and
 ``backward`` replays adjoints in reverse tape order.  Replaying in tape order
 also fixes the order in which gradients accumulate, which keeps repeated runs
-with identical seeds bit-identical.
+with identical seeds bit-identical.  The tape and the ``no_grad`` flag are
+process-global and unlocked, so only forward passes under ``no_grad``, which
+record nothing, may run on several threads at once.
 
 A recorded node holds a gradient only from the moment one reaches it until
 ``backward`` has passed it on to the node's parents, so ``backward`` runs
@@ -271,13 +273,21 @@ def log_softmax(x) -> Tensor:
 def linear(x, weight, bias=None) -> Tensor:
     """``x @ weight (+ bias)`` over the last axis of ``x``: one flat GEMM
     over all leading axes, recorded as one node, the tape's only matrix
-    product.  A constant ``x`` gets no gradient product."""
+    product.  A lone row gets the bits it gets among other rows.  A constant
+    ``x`` gets no gradient product."""
     x, weight, bias = as_tensor(x), as_tensor(weight), bias if bias is None else as_tensor(bias)
     d_in, d_out = weight.shape
     if x.ndim < 1 or x.shape[-1] != d_in:
         raise ShapeError(f"linear expected last dim {d_in}, got {x.shape}")
     x2d = x.data.reshape(-1, d_in)
-    out = x2d @ weight.data if bias is None else x2d @ weight.data + bias.data
+    if len(x2d) == 1:
+        # numpy runs a one-row product as GEMV, which rounds differently from
+        # GEMM; doubling the row gives it the bits it gets among other rows
+        out = (np.concatenate([x2d, x2d]) @ weight.data)[:1]
+    else:
+        out = x2d @ weight.data
+    if bias is not None:
+        out = out + bias.data
 
     def backward_fn(g):
         g2d = g.reshape(-1, d_out)

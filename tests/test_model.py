@@ -1,8 +1,11 @@
 """Model assembly, configuration validation, and checkpoint round trips."""
 
+import itertools
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -13,7 +16,7 @@ import labelset.model as model_module
 import labelset.tensor as T
 from labelset.data import SyntheticSpec, synthetic_corpus
 from labelset.encoder import CLS, SEP, SPECIALS
-from labelset.errors import CheckpointError, ConfigError
+from labelset.errors import CheckpointError, ConfigError, NumericDomainError
 from labelset.model import (
     SERVE_TOKENS,
     Model,
@@ -76,13 +79,19 @@ def head_output(model, tokens):
 
 def serving_calls(monkeypatch, model):
     """Record each chunk a later ``predict_many`` runs: a list of its
-    ``encode`` tokens, its mask and the head output for it."""
+    ``encode`` tokens, its mask and the head output for it.  Chunks may run
+    on several threads at once, so a head output finds its chunk through the
+    ``EncodedSentence`` that chunk's ``encode`` call returned."""
     calls = []
+    pending = {}   # id of an encoder output not yet read by the head -> its call
     encode = model.encode
 
     def recording_encode(tokens, mask=None, **kwargs):
-        calls.append([np.array(tokens), mask, None])
-        return encode(tokens, mask, **kwargs)
+        call = [np.array(tokens), mask, None]
+        calls.append(call)
+        memory = encode(tokens, mask, **kwargs)
+        pending[id(memory)] = call
+        return memory
 
     monkeypatch.setattr(model, "encode", recording_encode)
     if model.bce is not None:
@@ -90,7 +99,7 @@ def serving_calls(monkeypatch, model):
 
         def recording_logits(memory):
             out = logits(memory)
-            calls[-1][2] = out.data
+            pending.pop(id(memory))[2] = out.data
             return out
 
         monkeypatch.setattr(model.bce, "logits", recording_logits)
@@ -99,7 +108,7 @@ def serving_calls(monkeypatch, model):
 
         def recording_decode(queries, memory, **kwargs):
             out = decode(queries, memory, **kwargs)
-            calls[-1][2] = out.log_probs.data
+            pending.pop(id(memory))[2] = out.log_probs.data
             return out
 
         monkeypatch.setattr(model, "decode", recording_decode)
@@ -228,14 +237,11 @@ class TestModelAssembly:
         rows = [sample.tokens for sample in corpus.valid] + list(random_rows(model, 60, 40))
         assert len({row.shape[0] for row in rows}) >= 4
         alone = {row.tobytes(): head_output(model, row[None])[0].tobytes() for row in rows}
-        # OpenBLAS hands a one-row GEMM to GEMV, which rounds differently, so
-        # the bce readout of a lone row can differ in the last bit from the
-        # same row among others; rows of a multi-row GEMM do not depend on
-        # their neighbours, so a row paired with itself stands for any chunk
+        # a lone row's one-row products (the bce readout) round as they do
+        # among other rows
         paired = {row.tobytes(): head_output(model, np.stack([row, row]))[0].tobytes()
                   for row in rows}
-        if head == "set_prediction":
-            assert paired == alone
+        assert paired == alone
         expected = [model.predict(row) for row in rows]
         calls = serving_calls(monkeypatch, model)
         assert model.predict_many(rows) == expected
@@ -243,9 +249,8 @@ class TestModelAssembly:
         assert max(widths.count(width) for width in widths) >= 2
         assert max(len(tokens) for tokens, _, _ in calls) > 8
         for tokens, _, output in calls:
-            reference = alone if len(tokens) == 1 else paired
             for row, row_output in zip(tokens, output):
-                assert row_output.tobytes() == reference[row.tobytes()]
+                assert row_output.tobytes() == alone[row.tobytes()]
 
     def test_serving_ignores_batch_size(self, monkeypatch):
         corpus = synthetic_corpus(SyntheticSpec())
@@ -275,8 +280,11 @@ class TestModelAssembly:
             finally:
                 tracemalloc.stop()
 
-        # a whole-group chunk of 2,000 rows would hold about 10x the 200-row peak
-        assert peak(2000) - peak(200) <= 2 ** 20
+        # one full chunk (1,008 tokens) runs serially, below the thread gate;
+        # at most one chunk per worker thread is live at a time, and a
+        # whole-group chunk of 2,000 rows would hold about 80x its peak
+        one_chunk = peak(SERVE_TOKENS // 42)
+        assert peak(2000) <= model_module._cpu_count() * one_chunk + 2 ** 20
 
     def test_predict_many_computes_the_queries_once(self, monkeypatch):
         corpus = synthetic_corpus(SyntheticSpec())
@@ -330,6 +338,78 @@ class TestModelAssembly:
         assert set(full) - set(trainable) == {
             n for n in full if n.startswith("encoder.")
         }
+
+
+class TestThreadedServing:
+    """A ``predict_many`` call of at least two token budgets runs its chunks
+    on one thread per CPU; ``_cpu_count`` is patched to pick the path."""
+
+    @pytest.mark.parametrize("head", ["set_prediction", "bce"])
+    def test_threaded_and_serial_dispatch_agree_bitwise(self, monkeypatch, head):
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(head=head), corpus)
+        rows = [sample.tokens for sample in corpus.valid] + list(random_rows(model, 120, 40))
+        served, threads = {}, {}
+        # serial, then more threads than cores, switching as often as possible
+        for cpus in (1, 4):
+            monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
+            calls = serving_calls(monkeypatch, model)
+            encode, threads[cpus] = model.encode, set()
+
+            def tagged_encode(tokens, mask=None, **kwargs):
+                threads[cpus].add(threading.get_ident())
+                return encode(tokens, mask, **kwargs)
+
+            monkeypatch.setattr(model, "encode", tagged_encode)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                labels = model.predict_many(rows)
+            finally:
+                sys.setswitchinterval(interval)
+            served[cpus] = labels, sorted((tokens.tobytes(), output.tobytes())
+                                          for tokens, _, output in calls)
+            monkeypatch.undo()
+        assert served[1] == served[4]
+        assert threads[1] == {threading.get_ident()}
+        assert threads[4] and threading.get_ident() not in threads[4]
+
+    def test_a_failing_chunk_raises_once_the_pool_has_stopped(self, monkeypatch):
+        model = build_model(RunConfig(), synthetic_corpus(SyntheticSpec()))
+        rows = list(random_rows(model, 100, 40))   # four chunks of 25 rows
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+        decode, count = model.decode, itertools.count()
+
+        def failing_decode(queries, memory, **kwargs):
+            if next(count) == 1:
+                raise NumericDomainError("second chunk")
+            return decode(queries, memory, **kwargs)
+
+        monkeypatch.setattr(model, "decode", failing_decode)
+        T.reset_tape()
+        before = threading.active_count()
+        with pytest.raises(NumericDomainError, match="second chunk"):
+            model.predict_many(rows)
+        assert T._GRAD_ENABLED
+        assert len(T.active_tape()) == 0
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("count, length, pooled", [(89, 23, False), (64, 32, True)],
+                             ids=["2047-tokens", "2048-tokens"])
+    def test_only_a_call_of_two_token_budgets_starts_threads(self, monkeypatch,
+                                                             count, length, pooled):
+        assert count * length == 2 * SERVE_TOKENS - (not pooled)
+        model = build_model(RunConfig(), synthetic_corpus(SyntheticSpec()))
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 4)
+        started, start = [], threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        model.predict_many(list(random_rows(model, count, length)))
+        assert bool(started) == pooled
 
 
 def tampered(path, mutate):

@@ -140,6 +140,17 @@ class TestFusedOps:
         with pytest.raises(ShapeError, match="last dim 4"):
             T.linear(T.Tensor(np.ones((2, 5))), w, T.Tensor(np.zeros(3)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(1,), ()], ids=["one-row", "1d"])
+    def test_a_lone_row_rounds_as_it_does_among_other_rows(self, dtype, lead):
+        rng = np.random.default_rng(22)
+        rows = rng.standard_normal((5, 64)).astype(dtype)
+        w, b = (T.Tensor(rng.standard_normal(shape).astype(dtype)) for shape in ((64, 8), (8,)))
+        many = T.linear(T.Tensor(rows), w, b).data
+        alone = T.linear(T.Tensor(rows[0].reshape(lead + (64,))), w, b).data
+        assert alone.shape == lead + (8,)
+        assert alone.tobytes() == many[0].tobytes()
+
     def test_attention_with_two_heads_and_a_padding_bias(self):
         rng = np.random.default_rng(21)
         q, k, v = leaf(rng, 2, 3, 4), leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4)
