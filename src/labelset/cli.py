@@ -241,7 +241,7 @@ VARIANTS = (
 
 def cmd_ablate(args) -> int:
     from .metrics import render_table
-    from .model import RunConfig
+    from .model import RunConfig, load_checkpoint
     from .training import evaluate, run_training
 
     config = resolve_config(args)
@@ -256,9 +256,10 @@ def cmd_ablate(args) -> int:
         variant_config = RunConfig.from_dict({**config.to_dict(), **overrides})
         sub_dir = os.path.join(config.out_dir, name.replace("/", "_"))
         print(f"[{name}]")
-        model, _result = run_training(variant_config, corpus, out_dir=sub_dir,
+        # score the kept best-validation checkpoint, not the last epoch's model
+        _model, result = run_training(variant_config, corpus, out_dir=sub_dir,
                                       log_stream=sys.stdout)
-        rows.append((name, evaluate(model, target)))
+        rows.append((name, evaluate(load_checkpoint(result.checkpoint_path), target)))
     table = render_table(rows)
     print(table)
     write_json(os.path.join(config.out_dir, "ablation.json"), dict(rows))

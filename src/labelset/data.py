@@ -299,8 +299,12 @@ class Batch:
     mask: np.ndarray     # (B, L) floats, 1 on real positions
 
 
-def pad_batch(token_rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    width = max(row.shape[0] for row in token_rows)
+def pad_batch(token_rows: list[np.ndarray],
+              width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad token rows with PAD to ``width`` (the longest row's length
+    when absent); returns the (B, width) tokens and their 0/1 mask."""
+    if width is None:
+        width = max(row.shape[0] for row in token_rows)
     tokens = np.full((len(token_rows), width), PAD, dtype=np.intp)
     mask = np.zeros((len(token_rows), width), dtype=np.float64)
     for r, row in enumerate(token_rows):

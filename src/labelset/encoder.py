@@ -4,9 +4,10 @@ The encoder maps a token-id sequence (CLS ... SEP, right-padded), or a
 (B, L) batch of them, to one contextual vector per position.  Padding
 positions are masked out of attention with a large negative bias, which
 drives their weights to exactly zero, so padding never changes what a real
-position attends to.  It can still change the last bit: the wider matrix
-products sum their terms in another order.  Rows batched with others of
-their own length, unpadded, encode bit for bit as they do alone.
+position attends to.  It can still change the last bit: a wider row's
+reductions sum their terms in another order.  Rows share no reduction, so a
+row padded to a given width encodes bit for bit the same alone as in any
+batch of that width.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nn, tensor as T
-from .data import Corpus, LabelVocabulary
+from .data import Corpus, LabelVocabulary, pad_batch
 from .decoder import BceHead, PredictionSet, SetDecoder, predict_labels
 from .encoder import SPECIALS, EncodedSentence, TokenVocabulary, TransformerEncoder
 from .errors import CheckpointError, ConfigError
@@ -27,7 +27,7 @@ from .matching import COST_MODES
 
 CHECKPOINT_VERSION = 1
 HEADS = ("set_prediction", "bce")
-# tokens per serving chunk in predict_many: equal-length rows run together up
+# tokens per serving chunk in predict_many: rows of one width run together up
 # to this many tokens, which bounds each chunk's activations by its real size
 SERVE_TOKENS = 1024
 
@@ -209,37 +209,44 @@ class Model(nn.Module):
     def predict_many(self, token_rows) -> list[set[int]]:
         """Label sets of many token rows, in input order.
 
-        Rows are clipped, then batched only with rows of the same length,
-        ``SERVE_TOKENS // length`` rows at a time (at least one), so no row
-        is padded, no row's labels depend on the other rows, and each chunk's
-        activations stay within a fixed token budget whatever ``max_len``
-        and ``batch_size`` are.  The label queries are computed once per
-        call.
+        Rows are clipped, then grouped by width: a row's length rounded up
+        to an even number, at most ``max_len``.  Each row is padded with PAD
+        to exactly its width and masked, and each group runs
+        ``SERVE_TOKENS // width`` rows at a time (at least one), so each
+        chunk's activations stay within a fixed token budget whatever
+        ``max_len`` and ``batch_size`` are.  A chunk runs at its group's
+        width even when no row in it is that long, and rows share no
+        reduction, so a row's labels depend only on its own tokens and
+        width: alone (``predict``) it gets the same bytes as in any chunk.
+        Even widths halve the chunks a call of mixed lengths runs.  The
+        label queries are computed once per call.
 
-        A call of at least ``2 * SERVE_TOKENS`` tokens, on a process that may
-        run on more than one CPU, runs its chunks on a pool of one thread per
-        CPU, created for the call; smaller calls, where threads would cost
-        more than they overlap, run them one after another.  Both ways give
-        the same bytes, since chunks only read the parameters and the
-        queries, and each matrix product still runs on one BLAS thread.  A
-        chunk's error surfaces only after every chunk already running has
+        A call of at least ``2 * SERVE_TOKENS`` real tokens, on a process
+        that may run on more than one CPU, runs its chunks on a pool of one
+        thread per CPU, created for the call; smaller calls, where threads
+        would cost more than they overlap, run them one after another.  Both
+        ways give the same bytes, since chunks only read the parameters and
+        the queries, and each matrix product still runs on one BLAS thread.
+        A chunk's error surfaces only after every chunk already running has
         finished (the rest never start), and it is the error the serial loop
         would raise first."""
         rows = [self.encoder.clip(row) for row in token_rows]
-        by_length: dict[int, list[int]] = {}
+        by_width: dict[int, list[int]] = {}
         for i, row in enumerate(rows):
-            by_length.setdefault(row.shape[0], []).append(i)
+            length = row.shape[0]
+            by_width.setdefault(min(length + length % 2, self.config.max_len), []).append(i)
         chunks = []
-        for length, group in by_length.items():
-            size = max(1, SERVE_TOKENS // length)
-            chunks += [group[start:start + size] for start in range(0, len(group), size)]
-        tokens = sum(row.shape[0] for row in rows)
+        for width, group in by_width.items():
+            size = max(1, SERVE_TOKENS // width)
+            chunks += [(width, group[start:start + size]) for start in range(0, len(group), size)]
+        tokens = sum(row.shape[0] for row in rows)   # real tokens, not padding
         workers = _cpu_count() if tokens >= 2 * SERVE_TOKENS else 1
         with T.no_grad():
             queries = self.queries()
 
             def run(chunk):
-                memory = self.encode(np.stack([rows[i] for i in chunk]))
+                width, indices = chunk
+                memory = self.encode(*pad_batch([rows[i] for i in indices], width))
                 return (self.bce.predict(memory) if self.bce is not None
                         else predict_labels(self.decode(queries, memory)))
 
@@ -251,8 +258,8 @@ class Model(nn.Module):
             else:
                 results = [run(chunk) for chunk in chunks]
         out: list = [None] * len(rows)
-        for chunk, labels in zip(chunks, results):
-            for i, row_labels in zip(chunk, labels):
+        for (_, indices), labels in zip(chunks, results):
+            for i, row_labels in zip(indices, labels):
                 out[i] = row_labels
         return out
 

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import labelset
-from labelset.cli import main
+from labelset.cli import load_splits, main
 from labelset.data import SyntheticSpec, generate_synthetic, synthetic_corpus, write_jsonl
 from labelset.errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK
-from labelset.model import RunConfig, build_model, save_checkpoint
+from labelset.model import RunConfig, build_model, load_checkpoint, save_checkpoint
+from labelset.training import evaluate
 
 from helpers import load_matrix
 
@@ -378,7 +379,7 @@ class TestAblateCommand:
     def test_four_variant_table(self, tmp_path, corpus_dir, capsys):
         cfg = tmp_path / "c.json"
         out = tmp_path / "out"
-        write_config(cfg, corpus_dir, out_dir=str(out), epochs=1)
+        write_config(cfg, corpus_dir, out_dir=str(out), epochs=3)
         assert main(["ablate", "--config", str(cfg)]) == EXIT_OK
 
         blob = json.loads((out / "ablation.json").read_text())
@@ -390,6 +391,18 @@ class TestAblateCommand:
         for name in ("full", "wo/GCN", "wo/BC", "bce"):
             assert name in table_out
             assert (out / name.replace("/", "_") / "best.npz").exists()
+
+        # each row scores the kept best-validation checkpoint, which for
+        # some variant is not the last epoch's model
+        test = load_splits(RunConfig.from_dict(json.loads(cfg.read_text()))).test
+        best_before_last = []
+        for name, report in blob.items():
+            sub = out / name.replace("/", "_")
+            f1s = [json.loads(line)["valid_f1"]
+                   for line in (sub / "train_log.jsonl").read_text().splitlines()]
+            best_before_last.append(f1s.index(max(f1s)) < len(f1s) - 1)
+            assert report == evaluate(load_checkpoint(str(sub / "best.npz")), test)
+        assert any(best_before_last)
 
 
 class TestDeterminism:

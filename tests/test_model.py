@@ -1,5 +1,6 @@
 """Model assembly, configuration validation, and checkpoint round trips."""
 
+import functools
 import itertools
 import json
 import math
@@ -11,11 +12,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import labelset.model as model_module
 import labelset.tensor as T
-from labelset.data import SyntheticSpec, synthetic_corpus
-from labelset.encoder import CLS, SEP, SPECIALS
+from labelset.data import SyntheticSpec, pad_batch, synthetic_corpus
+from labelset.encoder import CLS, PAD, SEP, SPECIALS
 from labelset.errors import CheckpointError, ConfigError, NumericDomainError
 from labelset.model import (
     SERVE_TOKENS,
@@ -67,14 +70,35 @@ def random_rows(model, count, length, seed=0):
     return rows
 
 
-def head_output(model, tokens):
+def head_output(model, tokens, mask=None):
     """The head's output for one row or a batch: slot log-probs, or the bce
     logits."""
     with T.no_grad():
-        memory = model.encode(tokens)
+        memory = model.encode(tokens, mask)
         if model.bce is not None:
             return model.bce.logits(memory).data
         return model.decode(model.queries(), memory).log_probs.data
+
+
+def served_width(model, row):
+    """The width ``predict_many`` pads a clipped row to: its length rounded
+    up to an even number, at most ``max_len``."""
+    return min(row.shape[0] + row.shape[0] % 2, model.config.max_len)
+
+
+def alone_at_width(model, rows, copies=1):
+    """Each row's head output, run alone (``copies`` times in one batch)
+    padded to its served width, keyed by the row's bytes."""
+    return {row.tobytes():
+            head_output(model, *pad_batch([row] * copies, served_width(model, row)))[0].tobytes()
+            for row in rows}
+
+
+def chunk_rows(calls):
+    """(unpadded row, its head output) for every row of every recorded chunk."""
+    return [(row[:int(real)], output)
+            for tokens, mask, outputs in calls
+            for row, real, output in zip(tokens, mask.sum(axis=1), outputs)]
 
 
 def serving_calls(monkeypatch, model):
@@ -236,21 +260,20 @@ class TestModelAssembly:
         # needs three chunks of SERVE_TOKENS // 40 = 25 rows
         rows = [sample.tokens for sample in corpus.valid] + list(random_rows(model, 60, 40))
         assert len({row.shape[0] for row in rows}) >= 4
-        alone = {row.tobytes(): head_output(model, row[None])[0].tobytes() for row in rows}
+        alone = alone_at_width(model, rows)
         # a lone row's one-row products (the bce readout) round as they do
         # among other rows
-        paired = {row.tobytes(): head_output(model, np.stack([row, row]))[0].tobytes()
-                  for row in rows}
-        assert paired == alone
+        assert alone_at_width(model, rows, copies=2) == alone
         expected = [model.predict(row) for row in rows]
         calls = serving_calls(monkeypatch, model)
         assert model.predict_many(rows) == expected
         widths = [tokens.shape[1] for tokens, _, _ in calls]
         assert max(widths.count(width) for width in widths) >= 2
         assert max(len(tokens) for tokens, _, _ in calls) > 8
-        for tokens, _, output in calls:
-            for row, row_output in zip(tokens, output):
-                assert row_output.tobytes() == alone[row.tobytes()]
+        # some chunk pads rows of two lengths to one width
+        assert any(len(set(mask.sum(axis=1))) >= 2 for _, mask, _ in calls)
+        for row, output in chunk_rows(calls):
+            assert output.tobytes() == alone[row.tobytes()]
 
     def test_serving_ignores_batch_size(self, monkeypatch):
         corpus = synthetic_corpus(SyntheticSpec())
@@ -304,29 +327,53 @@ class TestModelAssembly:
 
     def test_predict_many_clips_and_keeps_order(self, monkeypatch):
         corpus = tiny_corpus()
-        model = build_model(tiny_config(max_len=5, batch_size=2), corpus)
+        model = build_model(tiny_config(max_len=7, batch_size=2), corpus)
         rows = [sample.tokens for sample in corpus.valid] + [sample.tokens for sample in corpus.test]
-        assert any(row.shape[0] > 5 for row in rows)
+        assert any(row.shape[0] > 7 for row in rows)
         clipped = [model.encoder.clip(row) for row in rows]
-        lengths = Counter(row.shape[0] for row in clipped)
+        widths = Counter(served_width(model, row) for row in clipped)
+        assert sorted(widths) == [6, 7]
         expected = [model.predict(row) for row in rows]
-        # the real budget, one that splits groups, and one below a row's length
+        # the real budget, one that splits groups, and one below a row's width
         for budget in (SERVE_TOKENS, 12, 4):
             monkeypatch.setattr(model_module, "SERVE_TOKENS", budget)
             calls = serving_calls(monkeypatch, model)
             assert model.predict_many(rows) == expected
-            # unpadded chunks of at most max_len tokens a row, each one row or
-            # at most `budget` tokens, as many rows as the budget allows
-            assert all(mask is None and tokens.ndim == 2 and (tokens != 0).all()
-                       and tokens.shape[1] <= 5 for tokens, mask, _ in calls)
-            assert all(len(tokens) == 1 or tokens.size <= budget for tokens, _, _ in calls)
-            assert len(calls) == sum(math.ceil(count / max(1, budget // length))
-                                     for length, count in lengths.items())
+            for call in calls:
+                # masked chunks padded with PAD to one even width, or to an
+                # odd max_len, that each row's length rounds up to
+                tokens, mask, _ = call
+                assert tokens.ndim == 2 and mask.shape == tokens.shape
+                assert ((tokens != PAD) == (mask == 1.0)).all()
+                width = tokens.shape[1]
+                assert width % 2 == 0 or width == 7
+                assert {served_width(model, row) for row, _ in chunk_rows([call])} == {width}
+                # one row, or at most `budget` tokens
+                assert len(tokens) == 1 or tokens.size <= budget
+            # as many rows a chunk as the budget allows
+            assert len(calls) == sum(math.ceil(count / max(1, budget // width))
+                                     for width, count in widths.items())
             # every row once
-            assert sorted(row.tobytes() for tokens, _, _ in calls for row in tokens) == \
+            assert sorted(row.tobytes() for row, _ in chunk_rows(calls)) == \
                 sorted(row.tobytes() for row in clipped)
             monkeypatch.undo()
         assert model.predict_many([]) == []
+
+    def test_mixed_lengths_share_even_width_chunks(self, monkeypatch):
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(), corpus)
+        rows = [sample.tokens for sample in corpus.valid]
+        assert {row.shape[0] for row in rows} == set(range(5, 13))
+        calls = serving_calls(monkeypatch, model)
+        model.predict_many(rows)
+        # widths 6, 8, 10 and 12, one chunk each, not one chunk per length
+        assert sorted(tokens.shape[1] for tokens, _, _ in calls) == [6, 8, 10, 12]
+        # a chunk runs at its width even when no row in it is that long
+        sevens = [row for row in rows if row.shape[0] == 7]
+        expected = [model.predict(row) for row in sevens]
+        calls.clear()
+        assert model.predict_many(sevens) == expected
+        assert [tokens.shape for tokens, _, _ in calls] == [(len(sevens), 8)]
 
     def test_freeze_encoder_filters_trainables(self):
         corpus = tiny_corpus()
@@ -410,6 +457,45 @@ class TestThreadedServing:
         monkeypatch.setattr(threading.Thread, "start", counted_start)
         model.predict_many(list(random_rows(model, count, length)))
         assert bool(started) == pooled
+
+
+# a call of up to 24 random rows of mixed lengths, under the real token
+# budget, one that splits width groups, and one below every width
+PROPERTY_MAX_LEN = 9
+SERVING_CALLS = st.fixed_dictionaries({
+    "head": st.sampled_from(["set_prediction", "bce"]),
+    "lengths": st.lists(st.integers(2, PROPERTY_MAX_LEN), min_size=1, max_size=24),
+    "budget": st.sampled_from([SERVE_TOKENS, 16, 1]),
+    "seed": st.integers(0, 2 ** 16),
+})
+
+
+@functools.cache
+def property_model(head):
+    return build_model(tiny_config(head=head, max_len=PROPERTY_MAX_LEN), tiny_corpus())
+
+
+class TestRowIndependence:
+    @given(call=SERVING_CALLS)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_a_row_serves_the_same_alone_as_in_a_mixed_call(self, call):
+        model = property_model(call["head"])
+        rng = np.random.default_rng(call["seed"])
+        rows = []
+        for length in call["lengths"]:
+            row = rng.integers(len(SPECIALS), model.token_vocab.size, size=length)
+            row[0], row[-1] = CLS, SEP
+            rows.append(row)
+        expected = [model.predict(row) for row in rows]
+        alone = alone_at_width(model, rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "SERVE_TOKENS", call["budget"])
+            calls = serving_calls(patch, model)
+            assert model.predict_many(rows) == expected
+        assert sorted(row.tobytes() for row, _ in chunk_rows(calls)) == \
+            sorted(row.tobytes() for row in rows)
+        for row, output in chunk_rows(calls):
+            assert output.tobytes() == alone[row.tobytes()]
 
 
 def tampered(path, mutate):
