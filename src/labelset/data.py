@@ -5,6 +5,10 @@ string-array "labels".  Label and token vocabularies are built from the
 training split only; valid/test labels never seen in training are dropped
 (and counted) because every downstream structure is sized by the training
 label set.
+
+``batch_iterator`` groups samples, and samples keep their untruncated
+tokens: ``Model.encode`` clips each row and pads the batch with
+``pad_batch``, in training and in serving.
 """
 
 from __future__ import annotations
@@ -236,10 +240,6 @@ class SyntheticSpec:
             if not 0.0 <= rho <= 1.0:
                 raise ConfigError(f"bias strength {rho} outside [0, 1]")
 
-    @property
-    def rule_table(self) -> dict[str, str]:
-        return {f"trig{i}": f"label{i}" for i in range(self.num_labels)}
-
 
 def _synthesize_one(spec: SyntheticSpec, rng: np.random.Generator, fillers: list[str]) -> RawRecord:
     active = {int(rng.integers(spec.num_labels))}
@@ -280,23 +280,9 @@ def synthetic_corpus(spec: SyntheticSpec) -> Corpus:
     return build_corpus(train, valid, test)
 
 
-def rule_labels(text: str, spec: SyntheticSpec) -> tuple[str, ...]:
-    """Oracle: recover the gold label names a synthetic text implies."""
-    table = spec.rule_table
-    present = {table[w] for w in text.split() if w in table}
-    return tuple(sorted(present, key=lambda n: int(n.removeprefix("label"))))
-
-
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Batch:
-    samples: list[Sample]
-    tokens: np.ndarray   # (B, L) ids, right-padded with PAD
-    mask: np.ndarray     # (B, L) floats, 1 on real positions
 
 
 def pad_batch(token_rows: list[np.ndarray],
@@ -313,21 +299,13 @@ def pad_batch(token_rows: list[np.ndarray],
     return tokens, mask
 
 
-def batch_iterator(dataset: Dataset, batch_size: int,
-                   rng: np.random.Generator | None = None, clip=None):
-    """Yield right-padded Batches; shuffles when given a Generator.
-
-    ``clip`` (if given) maps a token row to a possibly shorter row before
-    padding; the encoder's truncating clip goes here so over-length
-    sentences are cut before the batch is padded to one width.
-    """
+def batch_iterator(dataset: Dataset, batch_size: int, rng: np.random.Generator | None = None):
+    """Yield lists of up to ``batch_size`` samples; shuffles when given a
+    Generator."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     order = np.arange(len(dataset))
     if rng is not None:
         rng.shuffle(order)
     for start in range(0, len(dataset), batch_size):
-        chunk = [dataset[int(i)] for i in order[start : start + batch_size]]
-        rows = [clip(s.tokens) if clip else s.tokens for s in chunk]
-        tokens, mask = pad_batch(rows)
-        yield Batch(samples=chunk, tokens=tokens, mask=mask)
+        yield [dataset[int(i)] for i in order[start : start + batch_size]]

@@ -62,13 +62,13 @@ class SetDecoder(nn.Module):
         self.head = self.add_child("head", nn.Linear(rng, d_model, num_classes))
 
     def decode(self, queries: T.Tensor, memory: EncodedSentence,
-               rng: np.random.Generator | None = None, train: bool = False) -> PredictionSet:
+               rng: np.random.Generator | None = None) -> PredictionSet:
+        """Dropout runs when given a Generator."""
         if queries.shape != self.query_shape:
             raise ConfigError(f"queries shaped {queries.shape}, decoder expects {self.query_shape}")
-        memory_bias = nn.mask_to_bias(memory.attention_mask, memory.hidden.data.dtype)
         x = queries
         for layer in self.layers:
-            x = layer(x, memory=memory.hidden, memory_bias=memory_bias, rng=rng, train=train)
+            x = layer(x, memory=memory.hidden, memory_bias=memory.key_bias, rng=rng)
         return PredictionSet(T.log_softmax(self.head(self.final_norm(x))))
 
 

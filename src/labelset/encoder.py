@@ -1,7 +1,10 @@
 """Sentence encoder: whitespace tokenizer plus a small trainable transformer.
 
 The encoder maps a token-id sequence (CLS ... SEP, right-padded), or a
-(B, L) batch of them, to one contextual vector per position.  Padding
+(B, L) batch of them, to one contextual vector per position.  It takes rows
+already clipped to ``max_len`` and padded: ``Model.encode`` clips each row
+with ``clip`` and pads the batch with ``data.pad_batch``, for training and
+serving alike; a longer input fails in the position lookup.  Padding
 positions are masked out of attention with a large negative bias, which
 drives their weights to exactly zero, so padding never changes what a real
 position attends to.  It can still change the last bit: a wider row's
@@ -66,8 +69,8 @@ class TokenVocabulary:
 
 @dataclass
 class EncodedSentence:
-    hidden: T.Tensor          # (..., l, d_model)
-    attention_mask: np.ndarray  # (..., l) of {0., 1.}
+    hidden: T.Tensor      # (..., l, d_model)
+    key_bias: np.ndarray  # (..., 1, 1, l): 0 on real positions, MASK_BIAS on padding
 
 
 class TransformerEncoder(nn.Module):
@@ -97,14 +100,15 @@ class TransformerEncoder(nn.Module):
         return np.concatenate([tokens[: self.max_len - 1], tokens[-1:]])
 
     def encode(self, tokens: np.ndarray, attention_mask: np.ndarray | None = None,
-               rng: np.random.Generator | None = None, train: bool = False) -> EncodedSentence:
-        """Encode an (L,) token row or a (B, L) batch with its (B, L) mask."""
-        tokens = self.clip(tokens)
+               rng: np.random.Generator | None = None) -> EncodedSentence:
+        """Encode an (L,) token row or a (B, L) batch with its (B, L) mask,
+        L at most ``max_len``; dropout runs when given a Generator."""
+        tokens = np.asarray(tokens, dtype=np.intp)
         length = tokens.shape[-1]
-        if attention_mask is None:
-            attention_mask = np.ones(tokens.shape, dtype=np.float64)
-        else:
-            attention_mask = np.asarray(attention_mask, dtype=np.float64)[..., :length]
+        attention_mask = np.ones(tokens.shape) if attention_mask is None else \
+            np.asarray(attention_mask, dtype=np.float64)
+        if attention_mask.shape != tokens.shape:
+            raise ContractError(f"mask {attention_mask.shape} does not match tokens {tokens.shape}")
         if tokens.min() < 0 or tokens.max() >= self.vocab_size:
             raise VocabularyError(f"token id out of range for vocabulary of {self.vocab_size}")
         real = attention_mask.sum(axis=-1).astype(np.intp)
@@ -114,5 +118,5 @@ class TransformerEncoder(nn.Module):
         x = T.gather(self.token_embed, tokens) + T.gather(self.pos_embed, np.arange(length))
         bias = nn.mask_to_bias(attention_mask, x.data.dtype)
         for layer in self.layers:
-            x = layer(x, self_bias=bias, rng=rng, train=train)
-        return EncodedSentence(hidden=self.final_norm(x), attention_mask=attention_mask)
+            x = layer(x, self_bias=bias, rng=rng)
+        return EncodedSentence(hidden=self.final_norm(x), key_bias=bias)

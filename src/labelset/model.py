@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn, tensor as T
 from .data import Corpus, LabelVocabulary, pad_batch
-from .decoder import BceHead, PredictionSet, SetDecoder, predict_labels
+from .decoder import BceHead, SetDecoder, predict_labels
 from .encoder import SPECIALS, EncodedSentence, TokenVocabulary, TransformerEncoder
 from .errors import CheckpointError, ConfigError
 from .graph import GcnStack, LabelGraph, QueryProjection
@@ -194,13 +194,14 @@ class Model(nn.Module):
             return self.query_projection(self.gcn())
         return self.query_table
 
-    def encode(self, tokens: np.ndarray, mask: np.ndarray | None = None,
-               rng: np.random.Generator | None = None, train: bool = False) -> EncodedSentence:
-        return self.encoder.encode(tokens, attention_mask=mask, rng=rng, train=train)
-
-    def decode(self, queries: T.Tensor, memory: EncodedSentence,
-               rng: np.random.Generator | None = None, train: bool = False) -> PredictionSet:
-        return self.decoder.decode(queries, memory, rng=rng, train=train)
+    def encode(self, token_rows, width: int | None = None,
+               rng: np.random.Generator | None = None) -> EncodedSentence:
+        """Encode token rows as one batch, the only way rows become one in
+        training and serving: each row clipped to ``max_len``, padded with
+        PAD to ``width`` (the longest clipped row when absent) and masked.
+        Dropout runs exactly when given a Generator."""
+        tokens, mask = pad_batch([self.encoder.clip(row) for row in token_rows], width)
+        return self.encoder.encode(tokens, mask, rng=rng)
 
     def predict(self, tokens: np.ndarray) -> set[int]:
         """The label set of one token row."""
@@ -209,9 +210,9 @@ class Model(nn.Module):
     def predict_many(self, token_rows) -> list[set[int]]:
         """Label sets of many token rows, in input order.
 
-        Rows are clipped, then grouped by width: a row's length rounded up
-        to an even number, at most ``max_len``.  Each row is padded with PAD
-        to exactly its width and masked, and each group runs
+        Rows are grouped by width: a row's clipped length rounded up to an
+        even number, at most ``max_len``.  ``encode`` clips each row and pads
+        it with PAD to exactly its width, and each group runs
         ``SERVE_TOKENS // width`` rows at a time (at least one), so each
         chunk's activations stay within a fixed token budget whatever
         ``max_len`` and ``batch_size`` are.  A chunk runs at its group's
@@ -227,36 +228,35 @@ class Model(nn.Module):
         would cost more than they overlap, run them one after another.  Both
         ways give the same bytes, since chunks only read the parameters and
         the queries, and each matrix product still runs on one BLAS thread.
-        A chunk's error surfaces only after every chunk already running has
-        finished (the rest never start), and it is the error the serial loop
-        would raise first."""
-        rows = [self.encoder.clip(row) for row in token_rows]
+        Each chunk runs under ``no_grad`` on its own thread, so serving may
+        run while another thread trains.  A chunk's error surfaces only
+        after every chunk already running has finished (the rest never
+        start), and it is the error the serial loop would raise first."""
+        rows = list(token_rows)
+        lengths = [min(len(row), self.config.max_len) for row in rows]   # clipped
         by_width: dict[int, list[int]] = {}
-        for i, row in enumerate(rows):
-            length = row.shape[0]
+        for i, length in enumerate(lengths):
             by_width.setdefault(min(length + length % 2, self.config.max_len), []).append(i)
         chunks = []
         for width, group in by_width.items():
             size = max(1, SERVE_TOKENS // width)
             chunks += [(width, group[start:start + size]) for start in range(0, len(group), size)]
-        tokens = sum(row.shape[0] for row in rows)   # real tokens, not padding
-        workers = _cpu_count() if tokens >= 2 * SERVE_TOKENS else 1
+        workers = _cpu_count() if sum(lengths) >= 2 * SERVE_TOKENS else 1
         with T.no_grad():
             queries = self.queries()
 
-            def run(chunk):
-                width, indices = chunk
-                memory = self.encode(*pad_batch([rows[i] for i in indices], width))
+        def run(chunk):
+            width, indices = chunk
+            with T.no_grad():
+                memory = self.encode([rows[i] for i in indices], width)
                 return (self.bce.predict(memory) if self.bce is not None
-                        else predict_labels(self.decode(queries, memory)))
+                        else predict_labels(self.decoder.decode(queries, memory)))
 
-            if workers > 1:
-                # the with exit waits for every started chunk, even after one
-                # raises, so none runs once no_grad restores the grad flag
-                with ThreadPoolExecutor(workers) as pool:
-                    results = list(pool.map(run, chunks))
-            else:
-                results = [run(chunk) for chunk in chunks]
+        if workers > 1:
+            with ThreadPoolExecutor(workers) as pool:
+                results = list(pool.map(run, chunks))
+        else:
+            results = [run(chunk) for chunk in chunks]
         out: list = [None] * len(rows)
         for (_, indices), labels in zip(chunks, results):
             for i, row_labels in zip(indices, labels):

@@ -128,20 +128,19 @@ class FeedForward(Module):
 
 
 class Dropout:
-    """Inverted dropout driven by an explicit Generator; identity when off."""
+    """Inverted dropout that runs exactly when given a Generator (a training
+    pass); identity without one or at rate 0."""
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
-    def __call__(self, x: T.Tensor, rng: np.random.Generator | None, train: bool,
+    def __call__(self, x: T.Tensor, rng: np.random.Generator | None,
                  rows: tuple[int, ...] = ()) -> T.Tensor:
         """``rows``: batch axes the mask spans even where x lacks them."""
-        if not train or self.rate == 0.0:
+        if rng is None or self.rate == 0.0:
             return x
-        if rng is None:
-            raise ContractError("dropout in training mode needs a Generator")
         keep = 1.0 - self.rate
         mask = (rng.random(rows + x.shape[-2:] if rows else x.shape) < keep) / keep
         return x * T.Tensor(mask.astype(x.data.dtype))
@@ -166,15 +165,16 @@ class TransformerLayer(Module):
 
     def __call__(self, x: T.Tensor, memory: T.Tensor | None = None,
                  self_bias: np.ndarray | None = None, memory_bias: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None, train: bool = False) -> T.Tensor:
+                 rng: np.random.Generator | None = None) -> T.Tensor:
+        """Dropout runs on each sub-layer's output when ``rng`` is given."""
         if self.cross and memory is None:
             raise ContractError("cross-attention layer called without memory")
         # the decoder's (m, d) queries are shared until cross-attention; masks are not
         rows = () if memory is None else memory.shape[:-2]
         normed = self.norm_self(x)
-        x = x + self.drop(self.attn_self(normed, normed, bias=self_bias), rng, train, rows)
+        x = x + self.drop(self.attn_self(normed, normed, bias=self_bias), rng, rows)
         if self.cross:
             x = x + self.drop(self.attn_cross(self.norm_cross(x), memory, bias=memory_bias),
-                              rng, train, rows)
-        x = x + self.drop(self.ffn(self.norm_ffn(x)), rng, train, rows)
+                              rng, rows)
+        x = x + self.drop(self.ffn(self.norm_ffn(x)), rng, rows)
         return x

@@ -1,12 +1,14 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Everything here is deliberately small and single threaded: operations execute
-eagerly on numpy arrays and record themselves on a global tape, and
-``backward`` replays adjoints in reverse tape order.  Replaying in tape order
-also fixes the order in which gradients accumulate, which keeps repeated runs
-with identical seeds bit-identical.  The tape and the ``no_grad`` flag are
-process-global and unlocked, so only forward passes under ``no_grad``, which
-record nothing, may run on several threads at once.
+Everything here is deliberately small: operations execute eagerly on numpy
+arrays and record themselves on a global tape, and ``backward`` replays
+adjoints in reverse tape order.  Replaying in tape order also fixes the order
+in which gradients accumulate, which keeps repeated runs with identical seeds
+bit-identical.  The tape is process-wide and unlocked, so only one thread
+records on it: one thread trains.  Grad mode is per thread and on by default,
+so forward passes under ``no_grad``, which record nothing, may run on other
+threads while that thread trains, and a new thread records until it enters
+``no_grad`` itself.
 
 A recorded node holds a gradient only from the moment one reaches it until
 ``backward`` has passed it on to the node's parents, so ``backward`` runs
@@ -34,6 +36,7 @@ the result.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -119,8 +122,14 @@ class Tape:
         self.nodes.clear()
 
 
+class _GradMode(threading.local):
+    """Whether this thread records on the tape; every thread starts on."""
+
+    enabled = True
+
+
 _TAPE = Tape()
-_GRAD_ENABLED = True
+_GRAD_MODE = _GradMode()
 
 
 def active_tape() -> Tape:
@@ -133,14 +142,14 @@ def reset_tape() -> None:
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / evaluation)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording on this thread inside the block (inference /
+    evaluation); other threads keep their own grad mode."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def as_tensor(value) -> Tensor:
@@ -153,7 +162,7 @@ def as_tensor(value) -> Tensor:
 def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     # a tracked output gets its gradient buffer when a gradient reaches it
     out = Tensor(out_data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn

@@ -120,16 +120,17 @@ class BatchLoss(NamedTuple):
     bc_penalty: float
 
 
-def batch_loss(model: Model, batch, queries, dropout_rng, train: bool) -> BatchLoss:
-    """Mean per-sample objective over one padded batch, on the active tape:
-    one encoder and one decoder pass for the whole batch, matched per sample."""
+def batch_loss(model: Model, samples, queries, dropout_rng=None) -> BatchLoss:
+    """Mean per-sample objective over one batch of samples, on the active
+    tape: one encoder and one decoder pass for the whole batch, matched per
+    sample.  Dropout runs exactly when given a Generator."""
     config = model.config
-    memory = model.encode(batch.tokens, batch.mask, rng=dropout_rng, train=train)
-    labels = [sample.labels for sample in batch.samples]
+    memory = model.encode([sample.tokens for sample in samples], rng=dropout_rng)
+    labels = [sample.labels for sample in samples]
     if model.bce is not None:
         total = model.bce.loss(memory, labels).mean()
         return BatchLoss(total, float(total.data), 0.0)
-    ps = model.decode(queries, memory, rng=dropout_rng, train=train)
+    ps = model.decoder.decode(queries, memory, rng=dropout_rng)
     gold = np.stack([pad_gold(l, config.num_queries, model.label_vocab.null_index) for l in labels])
     terms = objective(gold, ps, config.effective_bc_weight, config.cost_mode)
     penalty = 0.0 if terms.penalty is None else float(terms.penalty.data.mean())
@@ -182,10 +183,9 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
         for epoch in range(1, config.epochs + 1):
             epoch_losses = []
             try:
-                for batch in batch_iterator(corpus.train, config.batch_size,
-                                            rng=shuffle_rng, clip=model.encoder.clip):
+                for samples in batch_iterator(corpus.train, config.batch_size, rng=shuffle_rng):
                     T.reset_tape()
-                    loss = batch_loss(model, batch, model.queries(), dropout_rng, train=True)
+                    loss = batch_loss(model, samples, model.queries(), dropout_rng)
                     value = float(loss.total.data)
                     if not np.isfinite(value):
                         raise NumericDomainError("non-finite loss")

@@ -1,6 +1,23 @@
-"""Suite-wide reporting: one pass/fail line per acceptance criterion."""
+"""Suite-wide reporting: one pass/fail line per acceptance criterion.
+
+It also imports ``hypothesis.extra._patching`` once, with its
+``DeprecationWarning`` ignored.  Hypothesis's pytest plugin imports that
+module when a property test fails, and ``libcst``, which it loads, warns
+through ``mypy_extensions``; the suite turns that warning into an error
+inside a pytest hook, which would stop the whole run with ``INTERNALERROR``
+instead of reporting the failure.  ``libcst`` is optional, so a missing one
+is fine.
+"""
 
 import re
+import warnings
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _outcomes: dict[int, tuple[str, str]] = {}

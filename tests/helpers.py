@@ -108,3 +108,11 @@ def load_matrix(path) -> np.ndarray:
     if matrix.shape != (k, k):
         raise GraphConstructionError(f"matrix dump at {path} is not {k}x{k}")
     return matrix
+
+
+def rule_labels(text: str, spec) -> tuple[str, ...]:
+    """Oracle: recover the gold label names a ``data.SyntheticSpec`` text
+    implies, each trigger word "trig{i}" implying "label{i}"."""
+    table = {f"trig{i}": f"label{i}" for i in range(spec.num_labels)}
+    present = {table[w] for w in text.split() if w in table}
+    return tuple(sorted(present, key=lambda n: int(n.removeprefix("label"))))

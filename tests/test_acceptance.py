@@ -108,9 +108,9 @@ def test_criterion_3_gradient_integrity():
     leaves = [params[name] for name in sorted(params)]
 
     def loss_fn(_leaves):
-        memory = model.encode(sample.tokens)
-        ps = model.decode(model.queries(), memory)
-        return total_loss(gold, ps, bc_weight=0.1)
+        memory = model.encode([sample.tokens])   # a batch of one
+        ps = model.decoder.decode(model.queries(), memory)
+        return total_loss(gold[None], ps, bc_weight=0.1).sum()
 
     started = time.monotonic()
     check_gradients(loss_fn, leaves, tol=1e-3, step=1e-5)

@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from helpers import rule_labels
 from labelset import data
+from labelset import tensor as T
 from labelset.encoder import CLS, PAD, SEP
 from labelset.errors import ConfigError, ContractError, ParseError, ValidationError
+from labelset.model import RunConfig, build_model
 
 
 def write_lines(path, lines):
@@ -128,7 +131,7 @@ class TestSynthetic:
         train, valid, test = data.generate_synthetic(spec)
         assert (len(train), len(valid), len(test)) == (200, 50, 50)
         for record in train + valid + test:
-            assert record.labels == data.rule_labels(record.text, spec)
+            assert record.labels == rule_labels(record.text, spec)
             assert record.labels  # never empty
 
     def test_capacity_validation(self):
@@ -163,30 +166,51 @@ class TestBatching:
 
     def test_batch_sizes(self):
         ds = self.small_dataset(10)
-        sizes = [len(b.samples) for b in data.batch_iterator(ds, 4)]
+        sizes = [len(b) for b in data.batch_iterator(ds, 4)]
         assert sizes == [4, 4, 2]
 
     def test_same_seed_same_order(self):
         ds = self.small_dataset(10)
-        order1 = [s.text for b in data.batch_iterator(ds, 3, np.random.default_rng(7)) for s in b.samples]
-        order2 = [s.text for b in data.batch_iterator(ds, 3, np.random.default_rng(7)) for s in b.samples]
+        order1 = [s.text for b in data.batch_iterator(ds, 3, np.random.default_rng(7)) for s in b]
+        order2 = [s.text for b in data.batch_iterator(ds, 3, np.random.default_rng(7)) for s in b]
         assert order1 == order2
-        unshuffled = [s.text for b in data.batch_iterator(ds, 3) for s in b.samples]
+        unshuffled = [s.text for b in data.batch_iterator(ds, 3) for s in b]
         assert unshuffled == [s.text for s in ds]
 
     def test_masks_mark_exactly_the_padding(self):
         ds = self.small_dataset(8)
         for batch in data.batch_iterator(ds, 4):
-            for r, sample in enumerate(batch.samples):
+            tokens, mask = data.pad_batch([sample.tokens for sample in batch])
+            assert tokens.shape[1] == max(len(sample.tokens) for sample in batch)
+            for r, sample in enumerate(batch):
                 n = sample.tokens.shape[0]
-                assert (batch.mask[r, :n] == 1.0).all()
-                assert (batch.mask[r, n:] == 0.0).all()
-                assert (batch.tokens[r, n:] == PAD).all()
+                assert (tokens[r, :n] == sample.tokens).all()
+                assert (mask[r, :n] == 1.0).all()
+                assert (mask[r, n:] == 0.0).all()
+                assert (tokens[r, n:] == PAD).all()
+
+    def test_pad_to_a_given_width(self):
+        rows = [np.array([CLS, 5, SEP]), np.array([CLS, SEP])]
+        tokens, mask = data.pad_batch(rows, 6)
+        assert tokens.shape == mask.shape == (2, 6)
+        assert mask.sum(axis=1).tolist() == [3.0, 2.0]
+        assert (tokens[0, 3:] == PAD).all() and (tokens[1, 2:] == PAD).all()
 
     def test_clip_applied_before_padding(self):
-        ds = self.small_dataset(6)
-        clipped = list(data.batch_iterator(ds, 6, clip=lambda row: row[:4]))
-        assert clipped[0].tokens.shape[1] == 4
+        # Model.encode clips each row to max_len, then pads the batch to the
+        # longest clipped row
+        corpus = data.synthetic_corpus(data.SyntheticSpec(train_size=20, seed=1))
+        model = build_model(RunConfig(max_len=7, d_model=8, encoder_heads=2, decoder_heads=2),
+                            corpus)
+        rows = [sample.tokens for sample in corpus.train.samples[9:15]]
+        assert max(map(len, rows)) > 7 > min(map(len, rows))
+        with T.no_grad():
+            memory = model.encode(rows)
+            clipped = model.encode([model.encoder.clip(row) for row in rows])
+        assert memory.hidden.shape[:2] == (6, 7)
+        assert memory.hidden.data.tobytes() == clipped.hidden.data.tobytes()
+        real = (memory.key_bias[:, 0, 0] == 0.0).sum(axis=1)
+        assert real.tolist() == [min(len(row), 7) for row in rows]
 
     def test_batch_size_validated(self):
         with pytest.raises(ContractError):

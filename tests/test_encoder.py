@@ -70,15 +70,25 @@ class TestEncode:
         model = small_encoder()
         ids = np.array([enc.CLS] + [4] * 13 + [enc.SEP])  # max_len + 5
         assert ids.shape[0] == 15
-        out = model.encode(ids)
+        out = model.encode(model.clip(ids))
         assert out.hidden.shape[0] == model.max_len
+        # encode takes clipped rows; a longer one fails in the position lookup
+        with pytest.raises(ContractError, match="gather index out of range"):
+            model.encode(ids)
         # a batch is clipped row by row before padding, never as a whole
         assert model.encode(np.stack([model.clip(ids)] * 2)).hidden.shape[1] == model.max_len
         with pytest.raises(ContractError, match="before padding"):
+            model.clip(np.stack([ids, ids]))
+        with pytest.raises(ContractError, match="gather index out of range"):
             model.encode(np.stack([ids, ids]))
         # clip keeps CLS at the front and SEP at the end
         clipped = model.clip(ids)
         assert clipped[0] == enc.CLS and clipped[-1] == enc.SEP
+
+    def test_mask_must_match_the_tokens(self):
+        model = small_encoder()
+        with pytest.raises(ContractError, match="does not match"):
+            model.encode(np.array([enc.CLS, 4, enc.SEP]), attention_mask=np.ones(4))
 
     def test_out_of_range_token_rejected(self):
         model = small_encoder()

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import labelset.model as model_module
 import labelset.tensor as T
-from labelset.data import SyntheticSpec, pad_batch, synthetic_corpus
+from labelset.data import SyntheticSpec, batch_iterator, synthetic_corpus
 from labelset.encoder import CLS, PAD, SEP, SPECIALS
-from labelset.errors import CheckpointError, ConfigError, NumericDomainError
+from labelset.errors import CheckpointError, ConfigError, ContractError, NumericDomainError
 from labelset.model import (
     SERVE_TOKENS,
     Model,
@@ -29,7 +29,7 @@ from labelset.model import (
     resolve_num_queries,
     save_checkpoint,
 )
-from labelset.training import evaluate
+from labelset.training import batch_loss, evaluate
 
 
 def tiny_corpus(seed=0, num_labels=5):
@@ -70,14 +70,14 @@ def random_rows(model, count, length, seed=0):
     return rows
 
 
-def head_output(model, tokens, mask=None):
-    """The head's output for one row or a batch: slot log-probs, or the bce
-    logits."""
+def head_output(model, rows, width=None):
+    """The head's output for a batch of rows padded to ``width``: slot
+    log-probs, or the bce logits."""
     with T.no_grad():
-        memory = model.encode(tokens, mask)
+        memory = model.encode(rows, width)
         if model.bce is not None:
             return model.bce.logits(memory).data
-        return model.decode(model.queries(), memory).log_probs.data
+        return model.decoder.decode(model.queries(), memory).log_probs.data
 
 
 def served_width(model, row):
@@ -90,7 +90,7 @@ def alone_at_width(model, rows, copies=1):
     """Each row's head output, run alone (``copies`` times in one batch)
     padded to its served width, keyed by the row's bytes."""
     return {row.tobytes():
-            head_output(model, *pad_batch([row] * copies, served_width(model, row)))[0].tobytes()
+            head_output(model, [row] * copies, served_width(model, row))[0].tobytes()
             for row in rows}
 
 
@@ -102,13 +102,13 @@ def chunk_rows(calls):
 
 
 def serving_calls(monkeypatch, model):
-    """Record each chunk a later ``predict_many`` runs: a list of its
-    ``encode`` tokens, its mask and the head output for it.  Chunks may run
-    on several threads at once, so a head output finds its chunk through the
-    ``EncodedSentence`` that chunk's ``encode`` call returned."""
+    """Record each chunk a later ``predict_many`` runs: a list of its padded
+    encoder tokens, its mask and the head output for it.  Chunks may run on
+    several threads at once, so a head output finds its chunk through the
+    ``EncodedSentence`` that chunk's encoder call returned."""
     calls = []
     pending = {}   # id of an encoder output not yet read by the head -> its call
-    encode = model.encode
+    encode = model.encoder.encode
 
     def recording_encode(tokens, mask=None, **kwargs):
         call = [np.array(tokens), mask, None]
@@ -117,7 +117,7 @@ def serving_calls(monkeypatch, model):
         pending[id(memory)] = call
         return memory
 
-    monkeypatch.setattr(model, "encode", recording_encode)
+    monkeypatch.setattr(model.encoder, "encode", recording_encode)
     if model.bce is not None:
         logits = model.bce.logits
 
@@ -128,14 +128,14 @@ def serving_calls(monkeypatch, model):
 
         monkeypatch.setattr(model.bce, "logits", recording_logits)
     else:
-        decode = model.decode
+        decode = model.decoder.decode
 
         def recording_decode(queries, memory, **kwargs):
             out = decode(queries, memory, **kwargs)
             pending.pop(id(memory))[2] = out.log_probs.data
             return out
 
-        monkeypatch.setattr(model, "decode", recording_decode)
+        monkeypatch.setattr(model.decoder, "decode", recording_decode)
     return calls
 
 
@@ -403,9 +403,9 @@ class TestThreadedServing:
             calls = serving_calls(monkeypatch, model)
             encode, threads[cpus] = model.encode, set()
 
-            def tagged_encode(tokens, mask=None, **kwargs):
+            def tagged_encode(rows, width=None, **kwargs):
                 threads[cpus].add(threading.get_ident())
-                return encode(tokens, mask, **kwargs)
+                return encode(rows, width, **kwargs)
 
             monkeypatch.setattr(model, "encode", tagged_encode)
             interval = sys.getswitchinterval()
@@ -425,19 +425,19 @@ class TestThreadedServing:
         model = build_model(RunConfig(), synthetic_corpus(SyntheticSpec()))
         rows = list(random_rows(model, 100, 40))   # four chunks of 25 rows
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
-        decode, count = model.decode, itertools.count()
+        decode, count = model.decoder.decode, itertools.count()
 
         def failing_decode(queries, memory, **kwargs):
             if next(count) == 1:
                 raise NumericDomainError("second chunk")
             return decode(queries, memory, **kwargs)
 
-        monkeypatch.setattr(model, "decode", failing_decode)
+        monkeypatch.setattr(model.decoder, "decode", failing_decode)
         T.reset_tape()
         before = threading.active_count()
         with pytest.raises(NumericDomainError, match="second chunk"):
             model.predict_many(rows)
-        assert T._GRAD_ENABLED
+        assert T._GRAD_MODE.enabled
         assert len(T.active_tape()) == 0
         assert threading.active_count() == before
 
@@ -457,6 +457,77 @@ class TestThreadedServing:
         monkeypatch.setattr(threading.Thread, "start", counted_start)
         model.predict_many(list(random_rows(model, count, length)))
         assert bool(started) == pooled
+
+
+class TestServingWhileTraining:
+    """Grad mode is per thread: serving under ``no_grad`` on one thread
+    neither stops nor adds to the recording of a thread that trains."""
+
+    def test_gradients_stay_exact_while_another_thread_serves(self):
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(), corpus)
+        batch = next(batch_iterator(corpus.train, model.config.batch_size))
+        params = list(model.named_parameters().values())
+
+        def step():
+            """One default batch's gradient: its tape nodes and bytes, or
+            the error that stopped it."""
+            for param in params:
+                param.grad[...] = 0.0
+            T.reset_tape()
+            try:
+                T.backward(batch_loss(model, batch, model.queries()).total)
+            except ContractError as exc:   # a loss recorded under another thread's no_grad
+                return str(exc)
+            finally:
+                nodes = len(T.active_tape())
+                T.reset_tape()
+            return nodes, b"".join(param.grad.tobytes() for param in params)
+
+        reference = step()
+        assert reference[0] == 83
+        rows = [sample.tokens for sample in corpus.valid.samples[:3]]
+        stop, served = threading.Event(), []
+
+        def serve():   # without pause
+            while not stop.is_set():
+                served.append(model.predict_many(rows))
+
+        server = threading.Thread(target=serve)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-3)   # switch threads more often than the default 5 ms
+        server.start()
+        try:
+            steps = [step() for _ in range(200)]
+        finally:
+            stop.set()
+            server.join()
+            sys.setswitchinterval(interval)
+        assert len(served) > 1
+        wrong = [i for i, result in enumerate(steps) if result != reference]
+        assert wrong == [], f"{len(wrong)} of 200 gradients wrong or raised"
+
+    def test_pool_threads_record_nothing_on_the_callers_tape(self, monkeypatch):
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(), corpus)
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+        rows = list(random_rows(model, 64, 32))   # 2,048 tokens: a pooled call
+        started, start = [], threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        T.reset_tape()
+        loss = batch_loss(model, next(batch_iterator(corpus.train, 8)), model.queries())
+        recorded = len(T.active_tape())
+        assert recorded == 83
+        model.predict_many(rows)
+        assert len(started) == 2
+        assert len(T.active_tape()) == recorded
+        T.backward(loss.total)
+        T.reset_tape()
 
 
 # a call of up to 24 random rows of mixed lengths, under the real token

@@ -100,12 +100,15 @@ def test_cross_layer_requires_memory():
 
 
 def test_dropout_identity_when_off_and_scales_when_on():
+    # dropout runs exactly when given a Generator, and only at a nonzero rate
     drop = nn.Dropout(0.0)
     x = T.Tensor(np.ones((4, 4)))
-    assert drop(x, None, train=True) is x
+    rng = np.random.default_rng(0)
+    assert drop(x, rng) is x
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
     drop = nn.Dropout(0.5)
-    assert drop(x, None, train=False) is x
-    out = drop(x, np.random.default_rng(0), train=True).data
+    assert drop(x, None) is x
+    out = drop(x, rng).data
     assert set(np.unique(out)) <= {0.0, 2.0}
     with pytest.raises(ContractError):
         nn.Dropout(1.0)
@@ -145,6 +148,6 @@ def test_dropout_masks_differ_per_batch_row():
     x = T.Tensor(rng.standard_normal((2, 4)))
     memory = T.Tensor(rng.standard_normal((2, 3, 4)))
     with T.no_grad():
-        out = block(x, memory=memory, rng=np.random.default_rng(11), train=True).data
+        out = block(x, memory=memory, rng=np.random.default_rng(11)).data
     assert out.shape == (2, 2, 4)
     assert out[0].tobytes() != out[1].tobytes()
