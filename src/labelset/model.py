@@ -213,12 +213,15 @@ class Model(nn.Module):
         Rows are grouped by width: a row's clipped length rounded up to an
         even number, at most ``max_len``.  ``encode`` clips each row and pads
         it with PAD to exactly its width, and each group runs
-        ``SERVE_TOKENS // width`` rows at a time (at least one), so each
-        chunk's activations stay within a fixed token budget whatever
-        ``max_len`` and ``batch_size`` are.  A chunk runs at its group's
+        ``SERVE_TOKENS // max(width, m)`` rows at a time (at least one),
+        where m is the decoder's slot count (0 for the bce head), so each
+        chunk's activations, the encoder's rows × width and the decoder's
+        rows × m, stay within a fixed budget whatever ``max_len``,
+        ``num_queries`` and ``batch_size`` are.  A chunk runs at its group's
         width even when no row in it is that long, and rows share no
         reduction, so a row's labels depend only on its own tokens and
-        width: alone (``predict``) it gets the same bytes as in any chunk.
+        width: alone (``predict``) it gets the same bytes as in any chunk
+        (``linear`` gives a row the same bits in a product of any size).
         Even widths halve the chunks a call of mixed lengths runs.  The
         label queries are computed once per call.
 
@@ -237,9 +240,11 @@ class Model(nn.Module):
         by_width: dict[int, list[int]] = {}
         for i, length in enumerate(lengths):
             by_width.setdefault(min(length + length % 2, self.config.max_len), []).append(i)
+        # a decoder's arrays hold each row's m slots, a bce head's only tokens
+        slots = 0 if self.decoder is None else self.config.num_queries
         chunks = []
         for width, group in by_width.items():
-            size = max(1, SERVE_TOKENS // width)
+            size = max(1, SERVE_TOKENS // max(width, slots))
             chunks += [(width, group[start:start + size]) for start in range(0, len(group), size)]
         workers = _cpu_count() if sum(lengths) >= 2 * SERVE_TOKENS else 1
         with T.no_grad():

@@ -25,6 +25,19 @@ distributions are taken as log-probabilities (``log_softmax``), which stay
 finite where a probability would underflow to 0.  ``gelu`` is the tanh form,
 a polynomial and one ``tanh`` instead of the far costlier ``erf``.
 
+Under ``no_grad``, ``linear`` and ``gelu`` take each output and temporary of
+at least 16,384 elements from one process-wide pool of buffers, so serving
+reuses memory instead of faulting fresh pages in for every chunk.  A buffer
+is handed out again only when nothing but the pool refers to it (every view
+keeps its buffer alive through ``.base``), and a thread that records takes
+none, so pooled memory never meets a tape.  "Nothing but the pool" is a
+reference count measured once at import through the same code that reads
+it, so it holds on interpreters that count differently; where a view does
+not add exactly one reference, or on a build without the GIL, nothing is
+pooled.  The pool keeps its buffers for the life of the process: as many as
+large serving arrays were ever live at once, each rounded up to a power of
+two.
+
 A tensor keeps the float dtype of the array it wraps, so a model whose
 parameters are float32 runs in float32.  Numpy promotes a float32 array met
 by a float64 array (0-d included) or a numpy float64 scalar to float64, so
@@ -36,6 +49,7 @@ the result.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -51,6 +65,9 @@ _GELU_B = 0.044715 * _GELU_A
 # past this |x| the cubic exceeds 43, so its tanh is exactly ±1 in float32
 # and float64: clipping there changes no bit and keeps x³ from overflowing
 _GELU_CLIP = 10.0
+# arrays of at least this many elements (64 KiB of float32) that an op
+# computes under no_grad come from the buffer pool, smaller ones from numpy
+_POOL_MIN = 16384
 
 
 class Tensor:
@@ -150,6 +167,62 @@ def no_grad():
         yield
     finally:
         _GRAD_MODE.enabled = previous
+
+
+# flat buffers reused by ``_out``, smallest first; they live as long as the
+# process, and one lock guards the list and every hand-out
+_POOL: list[np.ndarray] = []
+_POOL_LOCK = threading.Lock()
+
+
+def _first_free(pool: list[np.ndarray], size: int, dtype, count: int) -> np.ndarray | None:
+    """The smallest buffer of ``pool`` of ``dtype`` that holds ``size``
+    elements and whose reference count, read here, is ``count``."""
+    for buffer in pool:
+        if buffer.size >= size and buffer.dtype == dtype and sys.getrefcount(buffer) == count:
+            return buffer
+    return None
+
+
+def _free_count() -> int | None:
+    """The count ``_first_free`` reads for a buffer that only its pool
+    holds: the one count at which it finds such a buffer, measured through
+    that same frame, so it includes whatever references this interpreter
+    takes (or borrows) to count.  None where counts cannot tell a free
+    buffer: a view must add exactly one reference, and a build without the
+    GIL does not keep exact counts."""
+    pool = [np.empty(1)]
+    free = [count for count in range(1, 9) if _first_free(pool, 1, pool[0].dtype, count) is not None]
+    view = pool[0][:]
+    held = [count for count in range(1, 9) if _first_free(pool, 1, pool[0].dtype, count) is not None]
+    del view
+    exact = getattr(sys, "_is_gil_enabled", lambda: True)()
+    return free[0] if exact and len(free) == len(held) == 1 and held[0] == free[0] + 1 else None
+
+
+_FREE_COUNT = _free_count()
+
+
+def _out(shape: tuple[int, ...], *operands: np.ndarray) -> np.ndarray | None:
+    """The ``out=`` for an op's array of ``shape``, computed from ``operands``:
+    None (numpy allocates) below ``_POOL_MIN`` elements, on a thread that
+    records, or where counts cannot tell a free buffer; otherwise a view of
+    the smallest free pooled buffer of the result dtype that holds it, or of
+    a new power-of-two one the pool keeps.  Free means the count reads
+    exactly ``_FREE_COUNT``: every numpy view keeps its buffer alive through
+    ``.base``, so no array, Tensor or view still reads a free buffer, and a
+    count that reads lower than calibrated grows the pool instead."""
+    size = math.prod(shape)
+    if size < _POOL_MIN or _FREE_COUNT is None or _GRAD_MODE.enabled:
+        return None
+    dtype = np.result_type(*operands)
+    with _POOL_LOCK:
+        buffer = _first_free(_POOL, size, dtype, _FREE_COUNT)
+        if buffer is None:
+            buffer = np.empty(1 << (size - 1).bit_length(), dtype)
+            _POOL.append(buffer)
+            _POOL.sort(key=len)
+        return buffer[:size].reshape(shape)
 
 
 def as_tensor(value) -> Tensor:
@@ -282,21 +355,36 @@ def log_softmax(x) -> Tensor:
 def linear(x, weight, bias=None) -> Tensor:
     """``x @ weight (+ bias)`` over the last axis of ``x``: one flat GEMM
     over all leading axes, recorded as one node, the tape's only matrix
-    product.  A lone row gets the bits it gets among other rows.  A constant
-    ``x`` gets no gradient product."""
+    product.  A lone row gets the bits it gets among other rows, and a
+    product wider than 16 columns gives a row the same bits whatever its row
+    count.  A constant ``x`` gets no gradient product."""
     x, weight, bias = as_tensor(x), as_tensor(weight), bias if bias is None else as_tensor(bias)
     d_in, d_out = weight.shape
     if x.ndim < 1 or x.shape[-1] != d_in:
         raise ShapeError(f"linear expected last dim {d_in}, got {x.shape}")
     x2d = x.data.reshape(-1, d_in)
-    if len(x2d) == 1:
-        # numpy runs a one-row product as GEMV, which rounds differently from
-        # GEMM; doubling the row gives it the bits it gets among other rows
-        out = (np.concatenate([x2d, x2d]) @ weight.data)[:1]
-    else:
-        out = x2d @ weight.data
+    # numpy runs a one-row product as GEMV, which rounds differently from
+    # GEMM; doubling the row gives it the bits it gets among other rows
+    rows = x2d if len(x2d) > 1 else np.concatenate([x2d, x2d])
+    w = weight.data
+    if d_out > 16 and d_out % 16:
+        # OpenBLAS's small-matrix kernel (AVX-512 hosts, M·N·K up to 1e6)
+        # rounds a product of such a width unlike its large one, so a row's
+        # bits would hang on how many rows share it; zero columns up to a
+        # multiple of 16 give every row the large kernel's bits.  Products
+        # of 16 columns or fewer keep theirs: at d_model 64 a serving
+        # chunk's (at most 1,024 rows) stays within the small kernel
+        w = np.zeros((d_in, d_out + -d_out % 16), w.dtype)
+        w[:, :d_out] = weight.data
+    buffer = _out((len(rows), w.shape[1]), rows, w)
+    out = rows @ w if buffer is None else np.matmul(rows, w, out=buffer)
+    if len(rows) > len(x2d) or w is not weight.data:
+        out = out[:len(x2d), :d_out]
     if bias is not None:
-        out = out + bias.data
+        if buffer is not None and bias.data.dtype == out.dtype:
+            out += bias.data   # in the pooled buffer
+        else:   # ``out + bias`` promotes, so a wider bias widens the output
+            out = out + bias.data
 
     def backward_fn(g):
         g2d = g.reshape(-1, d_out)
@@ -366,12 +454,13 @@ def gelu(x) -> Tensor:
     5e-4 of the erf form.  The backward reuses the saved ``0.5·(1 + t)``.
     Every finite input gives a finite value and gradient without overflow."""
     x = as_tensor(x)
-    clipped = np.clip(x.data, -_GELU_CLIP, _GELU_CLIP)
-    cdf = clipped * clipped
+    shape = x.data.shape
+    clipped = np.clip(x.data, -_GELU_CLIP, _GELU_CLIP, out=_out(shape, x.data))
+    cdf = np.multiply(clipped, clipped, out=_out(shape, x.data))
     cdf *= _GELU_B
     cdf += _GELU_A
     cdf *= clipped
-    cdf = np.tanh(cdf)
+    np.tanh(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
 
@@ -387,7 +476,7 @@ def gelu(x) -> Tensor:
         slope *= g
         _accumulate(x, slope)
 
-    return _record(x.data * cdf, (x,), backward_fn)
+    return _record(np.multiply(x.data, cdf, out=_out(shape, x.data)), (x,), backward_fn)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

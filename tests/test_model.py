@@ -289,13 +289,16 @@ class TestModelAssembly:
             monkeypatch.undo()
         assert served[0] == served[1]
 
-    def test_predict_many_peak_memory_does_not_grow_with_the_group(self):
+    def test_predict_many_peak_memory_does_not_grow_with_the_group(self, monkeypatch):
         corpus = synthetic_corpus(SyntheticSpec())
         model = build_model(RunConfig(), corpus)
         rows = list(random_rows(model, 2000, 42))
         model.predict_many(rows[:1])   # one-time allocations stay out of both peaks
 
         def peak(n):
+            # from an emptied buffer pool, so both peaks count the pooled
+            # buffers the call itself needs, whatever earlier tests left there
+            monkeypatch.setattr(T, "_POOL", [])
             tracemalloc.start()
             try:
                 model.predict_many(rows[:n])
@@ -350,8 +353,9 @@ class TestModelAssembly:
                 assert {served_width(model, row) for row, _ in chunk_rows([call])} == {width}
                 # one row, or at most `budget` tokens
                 assert len(tokens) == 1 or tokens.size <= budget
-            # as many rows a chunk as the budget allows
-            assert len(calls) == sum(math.ceil(count / max(1, budget // width))
+            # as many rows a chunk as the budget allows, counting the slots
+            m = model.config.num_queries
+            assert len(calls) == sum(math.ceil(count / max(1, budget // max(width, m)))
                                      for width, count in widths.items())
             # every row once
             assert sorted(row.tobytes() for row, _ in chunk_rows(calls)) == \
@@ -374,6 +378,15 @@ class TestModelAssembly:
         calls.clear()
         assert model.predict_many(sevens) == expected
         assert [tokens.shape for tokens, _, _ in calls] == [(len(sevens), 8)]
+
+    @pytest.mark.parametrize("head, sizes", [("set_prediction", [32, 32, 32, 4]), ("bce", [100])])
+    def test_chunks_are_budgeted_by_decoder_slots(self, monkeypatch, head, sizes):
+        # 10-token rows, narrower than 32 slots: a decoder chunk holds
+        # SERVE_TOKENS // 32 rows, a bce chunk SERVE_TOKENS // 10
+        model = build_model(tiny_config(head=head, num_queries=32), tiny_corpus())
+        calls = serving_calls(monkeypatch, model)
+        model.predict_many(list(random_rows(model, 100, 10)))
+        assert [tokens.shape for tokens, _, _ in calls] == [(size, 10) for size in sizes]
 
     def test_freeze_encoder_filters_trainables(self):
         corpus = tiny_corpus()
@@ -530,6 +543,61 @@ class TestServingWhileTraining:
         T.reset_tape()
 
 
+class TestServingBuffers:
+    """Serving takes its large activations from the process-wide buffer
+    pool; training never does."""
+
+    @pytest.fixture(autouse=True)
+    def empty_pool(self, monkeypatch):
+        monkeypatch.setattr(T, "_POOL", [])
+
+    def test_a_training_batch_adds_nothing_to_the_pool(self):
+        corpus = synthetic_corpus(SyntheticSpec())
+        model = build_model(RunConfig(), corpus)
+        T.reset_tape()
+        T.backward(batch_loss(model, next(batch_iterator(corpus.train, 8)), model.queries()).total)
+        T.reset_tape()
+        assert T._POOL == []
+
+    def test_a_repeated_call_allocates_no_new_buffer(self, monkeypatch):
+        model = build_model(RunConfig(), synthetic_corpus(SyntheticSpec()))
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 1)
+        rows = [row for length in range(5, 15) for row in random_rows(model, 30, length, seed=length)]
+        first = model.predict_many(rows)
+        buffers = [id(buffer) for buffer in T._POOL]
+        assert buffers
+        assert model.predict_many(rows) == first
+        assert [id(buffer) for buffer in T._POOL] == buffers
+
+    def test_concurrent_calls_give_the_serial_bytes(self, monkeypatch):
+        model = build_model(RunConfig(), synthetic_corpus(SyntheticSpec()))
+        rows = list(random_rows(model, 100, 12)) + list(random_rows(model, 100, 21))
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 1)
+        calls = serving_calls(monkeypatch, model)
+        expected = model.predict_many(rows)
+        serial = {row.tobytes(): output.tobytes() for row, output in chunk_rows(calls)}
+        calls.clear()
+        # four callers at once, each over the thread gate on a pool of two
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+        results = []
+        callers = [threading.Thread(target=lambda: results.append(model.predict_many(rows)))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * 4
+        served = chunk_rows(calls)
+        assert len(served) == 4 * len(rows)
+        assert all(output.tobytes() == serial[row.tobytes()] for row, output in served)
+
+
 # a call of up to 24 random rows of mixed lengths, under the real token
 # budget, one that splits width groups, and one below every width
 PROPERTY_MAX_LEN = 9
@@ -568,6 +636,18 @@ class TestRowIndependence:
         for row, output in chunk_rows(calls):
             assert output.tobytes() == alone[row.tobytes()]
 
+
+    def test_a_k64_row_serves_the_same_alone_as_in_a_full_chunk(self, monkeypatch):
+        # 32 slots and 65 classes: alone, a row's head is a (32, 64)@(64, 65)
+        # product, in a chunk of 12 rows a (384, 64)@(64, 65) one
+        corpus = synthetic_corpus(SyntheticSpec(num_labels=64, vocab_size=160, extra_label_prob=0.25))
+        model = build_model(RunConfig(num_queries=32), corpus)
+        rows = list(random_rows(model, 12, 10))
+        alone = alone_at_width(model, rows)
+        calls = serving_calls(monkeypatch, model)
+        model.predict_many(rows)
+        assert [tokens.shape for tokens, _, _ in calls] == [(12, 10)]
+        assert all(output.tobytes() == alone[row.tobytes()] for row, output in chunk_rows(calls))
 
 def tampered(path, mutate):
     """Rewrite a checkpoint archive after applying ``mutate`` to its arrays."""
