@@ -140,10 +140,10 @@ class GcnStack(nn.Module):
         self.propagation = np.asarray(propagation, dtype=self.node_features.data.dtype)
 
     def __call__(self) -> T.Tensor:
-        act = T.relu if self.activation == "relu" else T.leaky_relu
+        slope = 0.0 if self.activation == "relu" else 0.01
         h = self.node_features
         for weight in self.layer_weights:
-            h = act(T.linear(T.linear(self.propagation, h), weight))
+            h = T.leaky_relu(T.linear(T.linear(self.propagation, h), weight), slope)
         return h
 
 

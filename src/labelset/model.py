@@ -219,11 +219,13 @@ class Model(nn.Module):
         rows × m, stay within a fixed budget whatever ``max_len``,
         ``num_queries`` and ``batch_size`` are.  A chunk runs at its group's
         width even when no row in it is that long, and rows share no
-        reduction, so a row's labels depend only on its own tokens and
-        width: alone (``predict``) it gets the same bytes as in any chunk
-        (``linear`` gives a row the same bits in a product of any size).
-        Even widths halve the chunks a call of mixed lengths runs.  The
-        label queries are computed once per call.
+        reduction, so up to ``d_model`` 64 a row's labels depend only on its
+        own tokens and width: alone (``predict``) it gets the same bytes as
+        in any chunk.  From 128 on they need not, since ``linear`` gives a
+        row the same bits at any row count only up to an inner width of 256
+        and the feed-forward's is 4·``d_model``.  Even widths halve the
+        chunks a call of mixed lengths runs.  The label queries are computed
+        once per call.
 
         A call of at least ``2 * SERVE_TOKENS`` real tokens, on a process
         that may run on more than one CPU, runs its chunks on a pool of one

@@ -16,14 +16,19 @@ exactly the nodes the loss depends on and may be called again on the same
 tape.  Leaves (tensors created with ``requires_grad=True``) keep a gradient
 buffer from creation, and it accumulates until the optimizer clears it.
 
-At the model's sizes the cost is per node, not per flop, so ``linear``
-(matrix product plus optional bias) and ``attention`` (head split, scores,
-mask, softmax, weighted sum, head merge) are fused: one node each.  Every
-matrix product, the GCN's included, is one ``linear`` node.  A constant
-operand of ``linear``, ``add`` or ``mul`` gets no gradient product.  Output
-distributions are taken as log-probabilities (``log_softmax``), which stay
-finite where a probability would underflow to 0.  ``gelu`` is the tanh form,
-a polynomial and one ``tanh`` instead of the far costlier ``erf``.
+The tape records twelve kinds of op: ``add``, ``mul``, ``linear``,
+``attention``, ``log_softmax``, ``leaky_relu``, ``gelu``, ``layer_norm``,
+``gather``, a sum or mean, ``custom_op`` and ``bce_with_logits``.  The ReLU
+is ``leaky_relu`` at slope 0.0, and ``-x`` is ``mul`` by -1 in ``x``'s
+dtype.  At the model's sizes the cost is per node, not per flop, so
+``linear`` (matrix product plus optional bias) and ``attention`` (head
+split, scores, mask, softmax, weighted sum, head merge) are fused: one node
+each.  Every matrix product, the GCN's included, is one ``linear`` node.  A
+constant operand of ``linear``, ``add`` or ``mul`` gets no gradient
+product.  Output distributions are taken as log-probabilities
+(``log_softmax``), which stay finite where a probability would underflow
+to 0.  ``gelu`` is the tanh form, a polynomial and one ``tanh`` instead of
+the far costlier ``erf``.
 
 Under ``no_grad``, ``linear`` and ``gelu`` take each output and temporary of
 at least 16,384 elements from one process-wide pool of buffers, so serving
@@ -43,7 +48,9 @@ parameters are float32 runs in float32.  Numpy promotes a float32 array met
 by a float64 array (0-d included) or a numpy float64 scalar to float64, so
 the constants inside an op are Python floats or arrays of its operands'
 dtype, and a Python scalar passed as an operand (a float64 tensor) widens
-the result.
+the result.  ``leaky_relu``'s backward is the one exception: it multiplies
+by a float64 array of slopes and stores the product in its input's dtype,
+which rounds it as a first ``+=`` into the input's gradient would.
 """
 
 from __future__ import annotations
@@ -110,7 +117,7 @@ class Tensor:
         return mul(self, other)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, np.array(-1.0, self.data.dtype))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return _reduce(self, axis, keepdims, mean=False)
@@ -119,42 +126,23 @@ class Tensor:
         return _reduce(self, axis, keepdims, mean=True)
 
 
-class Tape:
-    """Ordered record of executed differentiable operations.
-
-    Creation order is a topological order by construction: an operation can
-    only run after the operations that produced its inputs.
-    """
-
-    def __init__(self):
-        self.nodes: list[Tensor] = []
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def append(self, node: Tensor) -> None:
-        self.nodes.append(node)
-
-    def reset(self) -> None:
-        self.nodes.clear()
-
-
 class _GradMode(threading.local):
     """Whether this thread records on the tape; every thread starts on."""
 
     enabled = True
 
 
-_TAPE = Tape()
+# recorded nodes in creation order, a topological order by construction
+_TAPE: list[Tensor] = []
 _GRAD_MODE = _GradMode()
 
 
-def active_tape() -> Tape:
+def active_tape() -> list[Tensor]:
     return _TAPE
 
 
 def reset_tape() -> None:
-    _TAPE.reset()
+    _TAPE.clear()
 
 
 @contextmanager
@@ -278,11 +266,11 @@ def backward(loss: Tensor) -> None:
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractError("backward expects a scalar loss tensor")
-    if loss._backward_fn is None or not any(node is loss for node in reversed(_TAPE.nodes)):
+    if loss._backward_fn is None or not any(node is loss for node in reversed(_TAPE)):
         raise ContractError("loss is not on the active tape (constant, computed under no_grad, "
                             "or recorded before the tape was reset)")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(_TAPE.nodes):
+    for node in reversed(_TAPE):
         if node.grad is not None:
             node._backward_fn(node.grad)
             node.grad = None
@@ -317,15 +305,6 @@ def mul(a, b) -> Tensor:
     return _record(a.data * b.data, (a, b), backward_fn)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward_fn(g):
-        _accumulate(a, -g)
-
-    return _record(-a.data, (a,), backward_fn)
-
-
 def _row_softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a numpy array, with max subtraction."""
     if not np.isfinite(x).all():
@@ -355,9 +334,10 @@ def log_softmax(x) -> Tensor:
 def linear(x, weight, bias=None) -> Tensor:
     """``x @ weight (+ bias)`` over the last axis of ``x``: one flat GEMM
     over all leading axes, recorded as one node, the tape's only matrix
-    product.  A lone row gets the bits it gets among other rows, and a
-    product wider than 16 columns gives a row the same bits whatever its row
-    count.  A constant ``x`` gets no gradient product."""
+    product.  A lone row gets the bits it gets among other rows, and so
+    does a row of a product wider than 16 columns whatever its row count,
+    if ``weight`` has at most 256 rows.  A constant ``x`` gets no gradient
+    product."""
     x, weight, bias = as_tensor(x), as_tensor(weight), bias if bias is None else as_tensor(bias)
     d_in, d_out = weight.shape
     if x.ndim < 1 or x.shape[-1] != d_in:
@@ -371,20 +351,15 @@ def linear(x, weight, bias=None) -> Tensor:
         # OpenBLAS's small-matrix kernel (AVX-512 hosts, M·N·K up to 1e6)
         # rounds a product of such a width unlike its large one, so a row's
         # bits would hang on how many rows share it; zero columns up to a
-        # multiple of 16 give every row the large kernel's bits.  Products
-        # of 16 columns or fewer keep theirs: at d_model 64 a serving
-        # chunk's (at most 1,024 rows) stays within the small kernel
+        # multiple of 16 give it the large kernel's bits (for up to 256 rows
+        # of ``weight``).  Products of 16 columns or fewer keep theirs: at
+        # d_model 64 a serving chunk's (at most 1,024 rows) stays in the small kernel
         w = np.zeros((d_in, d_out + -d_out % 16), w.dtype)
         w[:, :d_out] = weight.data
-    buffer = _out((len(rows), w.shape[1]), rows, w)
-    out = rows @ w if buffer is None else np.matmul(rows, w, out=buffer)
-    if len(rows) > len(x2d) or w is not weight.data:
-        out = out[:len(x2d), :d_out]
+    out = np.matmul(rows, w, out=_out((len(rows), w.shape[1]), rows, w))[:len(x2d), :d_out]
     if bias is not None:
-        if buffer is not None and bias.data.dtype == out.dtype:
-            out += bias.data   # in the pooled buffer
-        else:   # ``out + bias`` promotes, so a wider bias widens the output
-            out = out + bias.data
+        # in place, unless a wider bias widens the output as ``out + bias`` does
+        out = np.add(out, bias.data, out=out if bias.data.dtype == out.dtype else None)
 
     def backward_fn(g):
         g2d = g.reshape(-1, d_out)
@@ -430,22 +405,15 @@ def attention(q, k, v, num_heads: int, bias=None) -> Tensor:
     return _record(merge(np.matmul(weights, vh)), (q, k, v), backward_fn)
 
 
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-
-    def backward_fn(g):
-        _accumulate(x, g * (x.data > 0.0))
-
-    return _record(np.maximum(x.data, 0.0), (x,), backward_fn)
-
-
 def leaky_relu(x, slope: float = 0.01) -> Tensor:
+    """``x`` where positive, else ``slope·x``, for a slope in [0, 1] (0.0 is
+    the ReLU): ``max(x, slope·x)``, bit for bit a masked select on finite x."""
     x = as_tensor(x)
 
     def backward_fn(g):
-        _accumulate(x, g * np.where(x.data > 0.0, 1.0, slope))
+        _accumulate(x, np.multiply(g, np.where(x.data > 0.0, 1.0, slope), out=np.empty_like(x.data)))
 
-    return _record(np.where(x.data > 0.0, x.data, slope * x.data), (x,), backward_fn)
+    return _record(np.maximum(x.data, slope * x.data), (x,), backward_fn)
 
 
 def gelu(x) -> Tensor:

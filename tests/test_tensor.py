@@ -45,11 +45,11 @@ class TestPrimitiveGradients:
     def test_relu_leaky_gelu_sigmoid(self):
         rng = np.random.default_rng(6)
         for trial in range(25):
-            # keep points away from the relu kink where central differences lie
+            # keep points away from the kink where central differences lie
             data = rng.standard_normal(12)
             data[np.abs(data) < 1e-2] += 0.05
             x = T.Tensor(data, requires_grad=True)
-            check_gradients(lambda ls: T.relu(ls[0]).sum(), [x])
+            check_gradients(lambda ls: T.leaky_relu(ls[0], 0.0).sum(), [x])
             check_gradients(lambda ls: T.leaky_relu(ls[0]).sum(), [x])
             check_gradients(lambda ls: T.gelu(ls[0]).sum(), [x])
 
@@ -225,6 +225,35 @@ class TestConstantOperands:
         npt.assert_allclose(h.grad, spread.T @ probe, rtol=0, atol=1e-14)
 
 
+class TestFoldedOps:
+    """The ReLU is ``leaky_relu`` at slope 0.0, and ``-x`` is a ``mul``."""
+
+    def test_leaky_relu_at_slope_0_is_the_relu(self):
+        rng = np.random.default_rng(25)
+        data = np.concatenate([rng.standard_normal(30), [0.0, -0.0, 1e30, -1e30]]).astype(np.float32)
+        g = rng.standard_normal(data.shape).astype(np.float32)
+        x = T.Tensor(data, requires_grad=True)
+        out = T.leaky_relu(x, 0.0)
+        T.backward((out * T.Tensor(g)).sum())
+        assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
+        npt.assert_array_equal(out.data, np.maximum(data, 0))
+        # gradients accumulate into zeros, which turns a -0.0 into 0.0
+        assert x.grad.tobytes() == (np.zeros_like(g) + g * (data > 0)).tobytes()
+        for slope in (0.0, 0.01):   # max(x, slope·x) selects as a mask does
+            masked = np.where(data > 0.0, data, slope * data)
+            assert T.leaky_relu(data, slope).data.tobytes() == masked.tobytes()
+
+    def test_negation_is_one_float32_node_that_passes_back_minus_g(self):
+        rng = np.random.default_rng(26)
+        x = T.Tensor(rng.standard_normal(12).astype(np.float32), requires_grad=True)
+        g = (rng.uniform(0.5, 2.0, size=12) * rng.choice([-1, 1], size=12)).astype(np.float32)
+        y = -x
+        assert len(T.active_tape()) == 1
+        assert y.data.dtype == np.float32 and y.data.tobytes() == (-x.data).tobytes()
+        T.backward((y * T.Tensor(g)).sum())
+        assert x.grad.tobytes() == (-g).tobytes()
+
+
 class TestGelu:
     def test_within_5e_4_of_the_erf_form(self):
         x = np.linspace(-10.0, 10.0, 20001)
@@ -314,12 +343,12 @@ class TestTapeDiscipline:
         z = y + x
         loss = z.sum()
         tape = T.active_tape()
-        position = {id(node): i for i, node in enumerate(tape.nodes)}
-        for i, node in enumerate(tape.nodes):
+        position = {id(node): i for i, node in enumerate(tape)}
+        for i, node in enumerate(tape):
             for parent in node._parents:
                 if id(parent) in position:
                     assert position[id(parent)] < i
-        assert loss is tape.nodes[-1]
+        assert loss is tape[-1]
 
     def test_shared_subexpression_accumulates(self):
         # loss = x*x + x*x: gradient 4x, exercised through a shared node
@@ -372,7 +401,7 @@ class TestTapeDiscipline:
         x = T.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         w = T.Tensor([[0.5], [-1.0]], requires_grad=True)
         T.backward(T.log_softmax(T.gelu(T.linear(x, w)) + x).sum())
-        assert all(node.grad is None for node in T.active_tape().nodes)
+        assert all(node.grad is None for node in T.active_tape())
 
     def test_nodes_after_the_loss_never_run(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)

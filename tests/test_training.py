@@ -423,7 +423,7 @@ class TestBatchLoss:
         batch = next(batch_iterator(corpus.train, 8))
         T.reset_tape()
         loss = batch_loss(model, batch, model.queries(), np.random.default_rng(0))
-        constants = [p for node in T.active_tape().nodes for p in node._parents if not p.requires_grad]
+        constants = [p for node in T.active_tape() for p in node._parents if not p.requires_grad]
         receivers = []
         accumulate = T._accumulate
 
@@ -482,7 +482,7 @@ class TestFloat32:
         monkeypatch.setattr(T, "_accumulate", recording)
         T.reset_tape()
         T.backward(batch_loss(model, batch, model.queries(), np.random.default_rng(0)).total)
-        nodes = [node.data.dtype for node in T.active_tape().nodes]
+        nodes = [node.data.dtype for node in T.active_tape()]
         T.reset_tape()
         # the overlap penalty sums in float64, and so do the weighted sum and
         # the batch mean after it (mul, add, mean); the bce head has no penalty
