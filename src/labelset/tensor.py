@@ -61,7 +61,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, NumericDomainError, ShapeError
 
@@ -512,7 +511,12 @@ def custom_op(x, out_data, vjp) -> Tensor:
 
 
 def bce_with_logits(logits, targets) -> Tensor:
-    """Elementwise binary cross entropy on logits, the numerically stable form."""
+    """Elementwise binary cross entropy on logits, the numerically stable form.
+
+    SciPy's ``expit`` is imported here, not with the module, because that
+    import costs about 0.3 s and 40 MiB that a set-prediction model never uses."""
+    from scipy.special import expit
+
     logits = as_tensor(logits)
     targets = np.asarray(targets, dtype=logits.data.dtype)
     if targets.shape != logits.shape:

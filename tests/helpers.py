@@ -1,7 +1,13 @@
 """Shared numeric-check utilities and oracles for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import labelset
 from labelset import tensor as T
 from labelset.decoder import PredictionSet
 from labelset.diversity import objective
@@ -116,3 +122,12 @@ def rule_labels(text: str, spec) -> tuple[str, ...]:
     table = {f"trig{i}": f"label{i}" for i in range(spec.num_labels)}
     present = {table[w] for w in text.split() if w in table}
     return tuple(sorted(present, key=lambda n: int(n.removeprefix("label"))))
+
+
+def run_python(args, cwd) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args`` in ``cwd``, importing labelset
+    from the same sources as this suite; its output is captured as text."""
+    src = str(Path(labelset.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)

@@ -2,8 +2,6 @@
 
 import json
 import os
-import subprocess
-import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -13,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import labelset
 from labelset.cli import load_splits, main
 from labelset.data import SyntheticSpec, generate_synthetic, synthetic_corpus, write_jsonl
 from labelset.errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK
 from labelset.model import RunConfig, build_model, load_checkpoint, save_checkpoint
 from labelset.training import evaluate
 
-from helpers import load_matrix
+from helpers import load_matrix, run_python
 
 
 @pytest.fixture(scope="module")
@@ -157,10 +154,7 @@ class TestExitCodes:
 
     def test_module_entry_point_runs_the_cli(self, tmp_path):
         # ``python -m labelset.cli`` runs the same CLI as the console script
-        src = str(Path(labelset.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-m", "labelset.cli", "graph", "--out", ""],
-                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        done = run_python(["-m", "labelset.cli", "graph", "--out", ""], tmp_path)
         assert done.returncode == EXIT_CONFIG, done.stderr
         assert "error:" in done.stderr
 
@@ -505,3 +499,29 @@ def test_predict_rejects_a_bad_checkpoint_array(tmp_path, capsys, head, name, po
     assert code == EXIT_CONFIG
     assert name in capsys.readouterr().err
     assert not outputs.exists()
+
+
+@pytest.mark.parametrize("head, unloaded", [("set_prediction", "scipy"), ("bce", "scipy.optimize")])
+def test_serving_leaves_scipy_unimported(tmp_path, corpus_dir, head, unloaded):
+    # SciPy's assignment solver is for training only and its logistic for
+    # the bce head only; a fresh process shows what serving imported
+    checkpoint = tmp_path / "best.npz"
+    config = RunConfig(d_model=8, encoder_layers=1, decoder_layers=1, encoder_heads=2,
+                       decoder_heads=2, gcn_layers=1, max_len=16, head=head)
+    save_checkpoint(str(checkpoint), build_model(config, load_splits(
+        RunConfig(train_path=str(corpus_dir / "train.jsonl")))))
+    cfg = tmp_path / "c.json"
+    write_config(cfg, corpus_dir)
+    script = f"""
+import sys
+from labelset.cli import main
+assert main(["predict", "--checkpoint", "best.npz", "--input", {str(corpus_dir / "test.jsonl")!r},
+             "--output", "out.jsonl"]) == 0
+assert main(["eval", "--config", "c.json", "--checkpoint", "best.npz"]) == 0
+print(" ".join(name for name in sys.modules if name.startswith("scipy")))
+"""
+    done = run_python(["-c", script], tmp_path)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.splitlines()[-1].split()
+    assert unloaded not in loaded
+    assert (head == "bce") == ("scipy.special" in loaded)

@@ -3,12 +3,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from labelset import matching, tensor as T
 from labelset.decoder import PredictionSet
 from labelset.errors import ContractError, NumericDomainError
 
-from helpers import check_gradients
+from helpers import check_gradients, run_python
 
 
 @pytest.fixture(autouse=True)
@@ -288,3 +289,29 @@ class TestSetLoss:
                          for _ in range(batch)])
         matching.set_loss(gold, PredictionSet(T.log_softmax(logits)))
         assert solves[0] <= batch
+
+
+def test_training_loads_scipys_solver(tmp_path):
+    # the solver's import waits for the first match: a fresh process loads
+    # no SciPy building a set-prediction model, and scipy.optimize on its
+    # first training step
+    script = """
+import sys
+from labelset import tensor as T
+from labelset.data import SyntheticSpec, synthetic_corpus
+from labelset.model import RunConfig, build_model
+from labelset.training import batch_loss
+corpus = synthetic_corpus(SyntheticSpec(num_labels=5, vocab_size=30, train_size=8,
+                                        valid_size=4, test_size=4, seed=3))
+model = build_model(RunConfig(d_model=8, encoder_layers=1, decoder_layers=1, encoder_heads=2,
+                              decoder_heads=2, gcn_layers=1, max_len=16), corpus)
+print(any(name.startswith("scipy") for name in sys.modules))
+T.backward(batch_loss(model, list(corpus.train)[:4], model.queries()).total)
+print("scipy.optimize" in sys.modules)
+"""
+    done = run_python(["-c", script], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+    cost = np.random.default_rng(12).standard_normal((5, 9))
+    for ours, scipys in zip(matching.linear_sum_assignment(cost), linear_sum_assignment(cost)):
+        npt.assert_array_equal(ours, scipys)
