@@ -102,6 +102,8 @@ def resolve_config(args):
             raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"{args.config} is not valid JSON: nested too deeply") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config} must hold a JSON object")
     keys = {f.name for f in fields(RunConfig)}

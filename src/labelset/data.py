@@ -112,6 +112,8 @@ def read_jsonl(path, require_labels: bool = True) -> tuple[list[RawRecord], int]
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: expected an object")
             text = obj.get("text")

@@ -9,9 +9,11 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -350,46 +352,60 @@ def _names(path, archive, name: str, reserved: tuple[str, ...] = ()) -> list[str
     return names[len(reserved):]
 
 
+def _read_archive(path) -> dict[str, np.ndarray]:
+    """The arrays of the ``.npz`` file at ``path`` by name, all read before
+    any is used.  Each member is read whole before numpy parses it, so zip
+    checks every member's CRC, however much of it the ``.npy`` header says
+    to read."""
+    with zipfile.ZipFile(path) as archive:
+        return {name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(archive.read(name)),
+                                                                    allow_pickle=False)
+                for name in archive.namelist()}
+
+
 def load_checkpoint(path) -> Model:
     """The model a checkpoint stores, with its parameters in the model's
-    dtype (float32); float64 checkpoints load too."""
+    dtype (float32); float64 checkpoints load too.  A file that cannot be
+    read, or whose archive is damaged, is a ``CheckpointError``."""
     try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    with archive:
-        if "__version__" not in archive:
-            raise CheckpointError(f"{path} is not a model checkpoint")
-        try:
-            version = int(archive["__version__"])
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint {path} array __version__ is not an integer") from exc
-        if version != CHECKPOINT_VERSION:
+        archive = _read_archive(path)
+    # besides BadZipFile, zip raises EOFError for a member that runs past the
+    # file's end and RuntimeError for an encrypted or unknown-method one
+    except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"checkpoint {path} cannot be read: {exc}") from exc
+    if "__version__" not in archive:
+        raise CheckpointError(f"checkpoint {path} has no array __version__: not a model checkpoint")
+    try:
+        version = int(archive["__version__"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} array __version__ is not an integer") from exc
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has version {version}, not the supported {CHECKPOINT_VERSION}")
+    try:
+        raw = json.loads(str(_metadata(path, archive, "__config__")))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"checkpoint {path} array __config__ is not JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise CheckpointError(f"checkpoint {path} array __config__ is not a JSON object")
+    config = RunConfig.from_dict(raw)
+    label_vocab = LabelVocabulary(_names(path, archive, "__labels__"))
+    token_vocab = TokenVocabulary(_names(path, archive, "__tokens__", SPECIALS))
+    propagation = _checked_array(path, "__propagation__",
+                                 _metadata(path, archive, "__propagation__"), np.float64)
+    if propagation.size == 0:
+        propagation = None
+    model = Model(np.random.default_rng(config.seed), config,
+                  label_vocab, token_vocab, propagation)
+    stored = {key[len("param/"):] for key in archive if key.startswith("param/")}
+    current = set(model.named_parameters())
+    if stored != current:
+        raise CheckpointError(f"checkpoint {path} parameters do not match the configured architecture")
+    for name, param in model.named_parameters().items():
+        value = archive[f"param/{name}"]
+        if value.shape != param.data.shape:
             raise CheckpointError(
-                f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
-        try:
-            raw = json.loads(str(_metadata(path, archive, "__config__")))
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"checkpoint {path} array __config__ is not JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise CheckpointError(f"checkpoint {path} array __config__ is not a JSON object")
-        config = RunConfig.from_dict(raw)
-        label_vocab = LabelVocabulary(_names(path, archive, "__labels__"))
-        token_vocab = TokenVocabulary(_names(path, archive, "__tokens__", SPECIALS))
-        propagation = _checked_array(path, "__propagation__",
-                                     _metadata(path, archive, "__propagation__"), np.float64)
-        if propagation.size == 0:
-            propagation = None
-        model = Model(np.random.default_rng(config.seed), config,
-                      label_vocab, token_vocab, propagation)
-        stored = {key[len("param/"):] for key in archive.files if key.startswith("param/")}
-        current = set(model.named_parameters())
-        if stored != current:
-            raise CheckpointError("checkpoint parameters do not match the configured architecture")
-        for name, param in model.named_parameters().items():
-            value = archive[f"param/{name}"]
-            if value.shape != param.data.shape:
-                raise CheckpointError(
-                    f"checkpoint parameter {name} has shape {value.shape}, model expects {param.data.shape}")
-            param.data = _checked_array(path, f"param/{name}", value, param.data.dtype)
+                f"checkpoint {path} parameter {name} has shape {value.shape}, "
+                f"model expects {param.data.shape}")
+        param.data = _checked_array(path, f"param/{name}", value, param.data.dtype)
     return model

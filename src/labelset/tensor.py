@@ -30,18 +30,13 @@ product.  Output distributions are taken as log-probabilities
 to 0.  ``gelu`` is the tanh form, a polynomial and one ``tanh`` instead of
 the far costlier ``erf``.
 
-Under ``no_grad``, ``linear`` and ``gelu`` take each output and temporary of
-at least 16,384 elements from one process-wide pool of buffers, so serving
-reuses memory instead of faulting fresh pages in for every chunk.  A buffer
-is handed out again only when nothing but the pool refers to it (every view
-keeps its buffer alive through ``.base``), and a thread that records takes
-none, so pooled memory never meets a tape.  "Nothing but the pool" is a
-reference count measured once at import through the same code that reads
-it, so it holds on interpreters that count differently; where a view does
-not add exactly one reference, or on a build without the GIL, nothing is
-pooled.  The pool keeps its buffers for the life of the process: as many as
-large serving arrays were ever live at once, each rounded up to a power of
-two.
+Importing this module raises glibc's mmap and trim thresholds to 32 MiB
+for the whole process (``mallopt``).  With glibc's defaults, large blocks
+are mapped afresh and freed memory goes back to the kernel, so each serving
+chunk would fault its activations in again, page by page; with the
+thresholds raised, freed blocks stay in the process and the next chunk's
+arrays reuse them, for every op and every thread.  Where the C library has
+no ``mallopt`` (macOS, Windows), nothing is set and serving runs slower.
 
 A tensor keeps the float dtype of the array it wraps, so a model whose
 parameters are float32 runs in float32.  Numpy promotes a float32 array met
@@ -55,8 +50,8 @@ which rounds it as a first ``+=`` into the input's gradient would.
 
 from __future__ import annotations
 
+import ctypes
 import math
-import sys
 import threading
 from contextlib import contextmanager
 
@@ -71,9 +66,15 @@ _GELU_B = 0.044715 * _GELU_A
 # past this |x| the cubic exceeds 43, so its tanh is exactly ±1 in float32
 # and float64: clipping there changes no bit and keeps x³ from overflowing
 _GELU_CLIP = 10.0
-# arrays of at least this many elements (64 KiB of float32) that an op
-# computes under no_grad come from the buffer pool, smaller ones from numpy
-_POOL_MIN = 16384
+
+# M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1): see the module docstring
+try:
+    _MALLOPT = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):   # not glibc
+    pass
+else:
+    _MALLOPT(-3, 32 << 20)
+    _MALLOPT(-1, 32 << 20)
 
 
 class Tensor:
@@ -154,62 +155,6 @@ def no_grad():
         yield
     finally:
         _GRAD_MODE.enabled = previous
-
-
-# flat buffers reused by ``_out``, smallest first; they live as long as the
-# process, and one lock guards the list and every hand-out
-_POOL: list[np.ndarray] = []
-_POOL_LOCK = threading.Lock()
-
-
-def _first_free(pool: list[np.ndarray], size: int, dtype, count: int) -> np.ndarray | None:
-    """The smallest buffer of ``pool`` of ``dtype`` that holds ``size``
-    elements and whose reference count, read here, is ``count``."""
-    for buffer in pool:
-        if buffer.size >= size and buffer.dtype == dtype and sys.getrefcount(buffer) == count:
-            return buffer
-    return None
-
-
-def _free_count() -> int | None:
-    """The count ``_first_free`` reads for a buffer that only its pool
-    holds: the one count at which it finds such a buffer, measured through
-    that same frame, so it includes whatever references this interpreter
-    takes (or borrows) to count.  None where counts cannot tell a free
-    buffer: a view must add exactly one reference, and a build without the
-    GIL does not keep exact counts."""
-    pool = [np.empty(1)]
-    free = [count for count in range(1, 9) if _first_free(pool, 1, pool[0].dtype, count) is not None]
-    view = pool[0][:]
-    held = [count for count in range(1, 9) if _first_free(pool, 1, pool[0].dtype, count) is not None]
-    del view
-    exact = getattr(sys, "_is_gil_enabled", lambda: True)()
-    return free[0] if exact and len(free) == len(held) == 1 and held[0] == free[0] + 1 else None
-
-
-_FREE_COUNT = _free_count()
-
-
-def _out(shape: tuple[int, ...], *operands: np.ndarray) -> np.ndarray | None:
-    """The ``out=`` for an op's array of ``shape``, computed from ``operands``:
-    None (numpy allocates) below ``_POOL_MIN`` elements, on a thread that
-    records, or where counts cannot tell a free buffer; otherwise a view of
-    the smallest free pooled buffer of the result dtype that holds it, or of
-    a new power-of-two one the pool keeps.  Free means the count reads
-    exactly ``_FREE_COUNT``: every numpy view keeps its buffer alive through
-    ``.base``, so no array, Tensor or view still reads a free buffer, and a
-    count that reads lower than calibrated grows the pool instead."""
-    size = math.prod(shape)
-    if size < _POOL_MIN or _FREE_COUNT is None or _GRAD_MODE.enabled:
-        return None
-    dtype = np.result_type(*operands)
-    with _POOL_LOCK:
-        buffer = _first_free(_POOL, size, dtype, _FREE_COUNT)
-        if buffer is None:
-            buffer = np.empty(1 << (size - 1).bit_length(), dtype)
-            _POOL.append(buffer)
-            _POOL.sort(key=len)
-        return buffer[:size].reshape(shape)
 
 
 def as_tensor(value) -> Tensor:
@@ -355,7 +300,7 @@ def linear(x, weight, bias=None) -> Tensor:
         # d_model 64 a serving chunk's (at most 1,024 rows) stays in the small kernel
         w = np.zeros((d_in, d_out + -d_out % 16), w.dtype)
         w[:, :d_out] = weight.data
-    out = np.matmul(rows, w, out=_out((len(rows), w.shape[1]), rows, w))[:len(x2d), :d_out]
+    out = (rows @ w)[:len(x2d), :d_out]
     if bias is not None:
         # in place, unless a wider bias widens the output as ``out + bias`` does
         out = np.add(out, bias.data, out=out if bias.data.dtype == out.dtype else None)
@@ -421,9 +366,8 @@ def gelu(x) -> Tensor:
     5e-4 of the erf form.  The backward reuses the saved ``0.5·(1 + t)``.
     Every finite input gives a finite value and gradient without overflow."""
     x = as_tensor(x)
-    shape = x.data.shape
-    clipped = np.clip(x.data, -_GELU_CLIP, _GELU_CLIP, out=_out(shape, x.data))
-    cdf = np.multiply(clipped, clipped, out=_out(shape, x.data))
+    clipped = np.clip(x.data, -_GELU_CLIP, _GELU_CLIP)
+    cdf = clipped * clipped
     cdf *= _GELU_B
     cdf += _GELU_A
     cdf *= clipped
@@ -443,7 +387,7 @@ def gelu(x) -> Tensor:
         slope *= g
         _accumulate(x, slope)
 
-    return _record(np.multiply(x.data, cdf, out=_out(shape, x.data)), (x,), backward_fn)
+    return _record(x.data * cdf, (x,), backward_fn)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

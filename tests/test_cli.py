@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, artifacts, and end-to-end flows."""
 
+import io
 import json
 import os
 import tempfile
@@ -109,6 +110,21 @@ class TestExitCodes:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "train.jsonl:2" in err
+
+    def test_deeply_nested_jsonl_line_is_data_error(self, trained, tmp_path, capsys):
+        out, _cfg = trained
+        inputs = tmp_path / "in.jsonl"
+        inputs.write_text(json.dumps({"text": "trig0"}) + "\n" + "[" * 100_000 + "\n")
+        code = main(["predict", "--checkpoint", str(out / "artifacts" / "best.npz"),
+                     "--input", str(inputs), "--output", str(tmp_path / "out.jsonl")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {inputs}:2: invalid JSON (nested too deeply)\n"
+
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[" * 100_000)
+        assert main(["graph", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg} is not valid JSON: nested too deeply\n"
 
     def test_train_without_valid_split_is_config_error(self, tmp_path, corpus_dir):
         cfg = tmp_path / "c.json"
@@ -525,3 +541,64 @@ print(" ".join(name for name in sys.modules if name.startswith("scipy")))
     loaded = done.stdout.splitlines()[-1].split()
     assert unloaded not in loaded
     assert (head == "bce") == ("scipy.special" in loaded)
+
+
+def corrupted(blob):
+    """Damaged copies of a checkpoint's bytes: cut at fixed offsets; with
+    one byte changed at fixed-seed offsets over the whole file, its first
+    member's headers and the zip directory at its end; with fields of zip
+    directory entries set to sizes past the end, an unknown compression
+    method or the encrypted flag; and a lone ``.npy`` file in its place."""
+    size = len(blob)
+    npy = io.BytesIO()
+    np.save(npy, np.ones(3))
+    yield "a .npy file", npy.getvalue()
+    first, last = blob.find(b"PK\x01\x02"), blob.rfind(b"PK\x01\x02")   # directory entries
+    for what, at, fields in (("sizes past the end", last, {22: 1, 26: 1}),
+                             ("compression method 99", first, {10: 99}),
+                             ("encrypted flag", first, {8: 1})):
+        damaged = bytearray(blob)
+        for offset, value in fields.items():
+            damaged[at + offset] = value
+        yield what, bytes(damaged)
+    for cut in (0, 1, 30, 200, size // 4, size // 2, size - 100, size - 1):
+        yield f"cut at {cut}", blob[:cut]
+    rng = np.random.default_rng(19)
+    offsets = np.concatenate([rng.integers(0, size, 24), rng.integers(0, 256, 16),
+                              rng.integers(size - 4096, size, 24)])
+    for offset, mask in zip(offsets, rng.integers(1, 256, len(offsets))):
+        damaged = bytearray(blob)
+        damaged[offset] ^= mask
+        yield f"byte {offset} xor {mask}", bytes(damaged)
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_a_corrupt_checkpoint_exits_1_or_serves_as_before(trained, corpus_dir, tmp_path, capsys, command):
+    out, cfg = trained
+    blob = (out / "artifacts" / "best.npz").read_bytes()
+    checkpoint, outputs = tmp_path / "best.npz", tmp_path / "out.jsonl"
+    argv = {"predict": ["predict", "--checkpoint", str(checkpoint), "--input",
+                        str(corpus_dir / "test.jsonl"), "--output", str(outputs)],
+            "eval": ["eval", "--config", str(cfg), "--checkpoint", str(checkpoint)]}[command]
+
+    def run(data):
+        checkpoint.write_bytes(data)
+        if outputs.exists():
+            outputs.unlink()
+        code = main(argv)
+        captured = capsys.readouterr()
+        served = outputs.read_bytes() if command == "predict" and code == EXIT_OK else captured.out
+        return code, served, captured.err
+
+    code, expected, _ = run(blob)
+    assert code == EXIT_OK
+    refused = 0
+    for what, data in corrupted(blob):
+        code, served, err = run(data)
+        if code == EXIT_OK:
+            assert served == expected, what
+        else:
+            refused += 1
+            assert code == EXIT_CONFIG, (what, err)
+            assert err.startswith(f"error: checkpoint {checkpoint} ") and err.count("\n") == 1, (what, err)
+    assert refused >= 50

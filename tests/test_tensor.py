@@ -1,7 +1,6 @@
 """Gradient and invariant checks for the autodiff core."""
 
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -162,6 +161,15 @@ class TestFusedOps:
         many = T.linear(T.Tensor(rows), w, b).data
         for count in (1, 2, 7, 60, 240):
             assert T.linear(T.Tensor(rows[:count]), w, b).data.tobytes() == many[:count].tobytes()
+
+    def test_a_wider_bias_widens_the_output(self):
+        # the bias is added in place only when it cannot widen the product
+        rng = np.random.default_rng(24)
+        x, w = (T.Tensor(rng.standard_normal(shape).astype(np.float32)) for shape in ((256, 64), (64, 256)))
+        with T.no_grad():
+            out = T.linear(x, w, T.Tensor(np.ones(256)))
+        assert out.data.dtype == np.float64
+        npt.assert_array_equal(out.data, (x.data @ w.data) + np.ones(256))
 
     def test_attention_with_two_heads_and_a_padding_bias(self):
         rng = np.random.default_rng(21)
@@ -412,101 +420,6 @@ class TestTapeDiscipline:
         npt.assert_array_equal(x.grad, [2.0, 4.0])
         npt.assert_array_equal(late.grad, [0.0])
         assert after.grad is None
-
-
-class TestBufferPool:
-    """Under ``no_grad``, large outputs of ``linear`` and ``gelu`` are views
-    of pooled buffers, handed out again only once nothing refers to them."""
-
-    @pytest.fixture(autouse=True)
-    def empty_pool(self, monkeypatch):
-        monkeypatch.setattr(T, "_POOL", [])
-
-    @staticmethod
-    def operands():
-        rng = np.random.default_rng(0)
-        x = T.Tensor(rng.standard_normal((256, 64)).astype(np.float32))
-        w = T.Tensor(rng.standard_normal((64, 256)).astype(np.float32))
-        return x, w
-
-    @pytest.mark.parametrize("hold", [lambda out: out, lambda out: out.data.reshape(-1),
-                                      lambda out: out.data[3:, ::2]],
-                             ids=["tensor", "reshape", "strided-view"])
-    def test_a_held_output_is_never_handed_out_again(self, hold):
-        x, w = self.operands()
-        with T.no_grad():
-            held = hold(T.gelu(T.linear(x, w)))
-            data = held.data if isinstance(held, T.Tensor) else held
-            expected = data.copy()
-            for _ in range(3):
-                assert not np.shares_memory(data, T.gelu(T.linear(x, w)).data)
-            # every request, until the pool has to grow, gets other memory
-            taken, size = [], len(T._POOL)
-            while len(T._POOL) == size and len(taken) < 100:
-                taken.append(T._out(data.shape, data))
-            assert len(T._POOL) == size + 1
-            assert not any(np.shares_memory(data, array) for array in taken)
-        npt.assert_array_equal(data, expected)
-
-    def test_a_released_buffer_is_reused(self):
-        x, w = self.operands()
-        with T.no_grad():
-            out = T.linear(x, w)
-            address = out.data.ctypes.data
-            count = len(T._POOL)
-            del out
-            assert T.linear(x, w).data.ctypes.data == address
-            assert len(T._POOL) == count == 1
-            # an exact product and bias, in place in the pooled buffer
-            npt.assert_array_equal(T.linear(x, w, T.Tensor(np.ones(256, np.float32))).data,
-                                   x.data @ w.data + np.float32(1.0))
-
-    def test_small_arrays_and_recording_threads_are_not_pooled(self):
-        x, w = self.operands()
-        with T.no_grad():
-            T.gelu(T.linear(T.Tensor(x.data[:63]), w))   # 63 · 256 < 16,384 elements
-        assert T._POOL == []
-        x.requires_grad = True
-        T.gelu(T.linear(x, w))
-        T.gelu(T.linear(T.Tensor(x.data), w))   # constants, on a recording thread
-        assert T._POOL == []
-
-    def test_a_free_buffer_reads_the_calibrated_count(self):
-        x, w = self.operands()
-        with T.no_grad():
-            out = T.linear(x, w)
-            size, dtype = out.data.size, out.data.dtype
-            assert T._first_free(T._POOL, size, dtype, T._FREE_COUNT) is None
-            assert T._first_free(T._POOL, size, dtype, T._FREE_COUNT + 1) is T._POOL[0]
-            del out
-            assert T._first_free(T._POOL, size, dtype, T._FREE_COUNT) is T._POOL[0]
-        assert T._free_count() == T._FREE_COUNT
-
-    def test_a_count_below_the_calibrated_one_grows_the_pool(self, monkeypatch):
-        # as if counts read one lower than at import: no buffer looks free
-        monkeypatch.setattr(T, "_FREE_COUNT", T._FREE_COUNT + 1)
-        x, w = self.operands()
-        with T.no_grad():
-            for _ in range(3):
-                T.linear(x, w)
-        assert len(T._POOL) == 3
-
-    def test_without_exact_counts_nothing_is_pooled(self, monkeypatch):
-        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False, raising=False)
-        assert T._free_count() is None
-        monkeypatch.setattr(T, "_FREE_COUNT", None)
-        x, w = self.operands()
-        expected = T.gelu(T.linear(x, w)).data   # constants: nothing recorded
-        with T.no_grad():
-            npt.assert_array_equal(T.gelu(T.linear(x, w)).data, expected)
-        assert T._POOL == []
-
-    def test_a_wider_bias_widens_the_output(self):
-        x, w = self.operands()
-        with T.no_grad():
-            out = T.linear(x, w, T.Tensor(np.ones(256)))
-        assert out.data.dtype == np.float64
-        npt.assert_array_equal(out.data, (x.data @ w.data) + np.ones(256))
 
 
 class TestShapeContracts:
