@@ -73,8 +73,12 @@ class SetDecoder(nn.Module):
 
 def label_sets(chosen: np.ndarray):
     """The indices of the true entries of a (..., K) boolean array: a set
-    for one row, else a list of sets in row order."""
-    sets = [set(np.flatnonzero(row).tolist()) for row in chosen.reshape(-1, chosen.shape[-1])]
+    for one row, else a list of distinct sets in row order."""
+    rows = chosen.reshape(-1, chosen.shape[-1])
+    sets = [set() for _ in range(len(rows))]
+    # one nonzero for all rows: a numpy call per row costs about 7 µs
+    for row, label in zip(*(index.tolist() for index in np.nonzero(rows))):
+        sets[row].add(label)
     return sets if chosen.ndim > 1 else sets[0]
 
 

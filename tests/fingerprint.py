@@ -1,7 +1,7 @@
 """Bit-identity fingerprint of training and serving on five configs.
 
-Run as ``PYTHONPATH=src python tests/fingerprint.py [config ...]`` (all
-configs when none is named).  It prints one JSON object with, per config:
+Run as ``PYTHONPATH=src python tests/fingerprint.py [--against FILE] [config ...]``
+(all configs when none is named).  It prints one JSON object with, per config:
 
 - ``parameters``: the sha256 of the trained model's parameters, by name;
 - ``train_log``: the sha256 of each ``train_log.jsonl`` row, so every
@@ -13,7 +13,10 @@ configs when none is named).  It prints one JSON object with, per config:
   log-probabilities, or the bce head's logits), in chunk order.
 
 A change meant to keep every bit prints the same object as its parent: run
-the script once with each tree's ``src`` on ``PYTHONPATH`` and compare.
+the script with the parent's ``src`` on ``PYTHONPATH`` and save what it
+prints, then run it with the change's ``src`` and ``--against`` that file.
+With ``--against FILE`` it prints each config and digest that differ from
+FILE's instead (or that none does) and exits 1 on any difference.
 BLAS is pinned to one thread, as the CLI pins it, and the chunks run one
 after another, so the chunk order is fixed.
 """
@@ -24,10 +27,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import argparse
 import hashlib
 import json
-import sys
 import tempfile
+from itertools import zip_longest
 
 from labelset import model as model_module
 from labelset.data import SyntheticSpec, generate_synthetic, synthetic_corpus
@@ -103,9 +107,41 @@ def fingerprint(name: str) -> dict:
     }
 
 
-def main(names) -> None:
-    print(json.dumps({name: fingerprint(name) for name in names or CONFIGS}, indent=1))
+def differences(result: dict, saved: dict) -> list[str]:
+    """One line per config and digest of ``result`` that ``saved`` does not
+    hold alike; a list entry is named by its index."""
+    lines = []
+    for name, digests in result.items():
+        if name not in saved:
+            lines.append(f"{name}: not in the saved fingerprint")
+            continue
+        for key, value in digests.items():
+            want = saved[name].get(key)
+            if isinstance(value, list) and isinstance(want, list):
+                lines += [f"{name} {key}[{i}]: {got} != {old}"
+                          for i, (got, old) in enumerate(zip_longest(value, want)) if got != old]
+            elif value != want:
+                lines.append(f"{name} {key}: {value} != {want}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Bit-identity fingerprint of training and serving.")
+    parser.add_argument("configs", nargs="*", metavar="config", help=f"any of {', '.join(CONFIGS)}")
+    parser.add_argument("--against", metavar="FILE", help="a saved fingerprint to compare with")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.configs if name not in CONFIGS]
+    if unknown:
+        parser.error(f"unknown config {', '.join(unknown)}; choose from {', '.join(CONFIGS)}")
+    result = {name: fingerprint(name) for name in args.configs or CONFIGS}
+    if args.against is None:
+        print(json.dumps(result, indent=1))
+        return 0
+    with open(args.against) as fh:
+        lines = differences(result, json.load(fh))
+    print("\n".join(lines) or f"same as {args.against}: {', '.join(result)}")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    raise SystemExit(main())

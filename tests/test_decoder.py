@@ -119,6 +119,34 @@ class TestPredictLabels:
         assert dec.predict_labels(ps) == {0, 3}
 
 
+class TestLabelSets:
+    @staticmethod
+    def per_row(chosen):
+        # the former one-row-at-a-time form
+        sets = [set(np.flatnonzero(row).tolist()) for row in chosen.reshape(-1, chosen.shape[-1])]
+        return sets if chosen.ndim > 1 else sets[0]
+
+    @pytest.mark.parametrize("shape", [(1, 8), (50, 9), (4, 6, 65), (3, 0, 5)])
+    def test_equals_the_per_row_form(self, shape):
+        rng = np.random.default_rng(31)
+        for density in (0.0, 0.1, 0.5, 1.0):
+            chosen = rng.random(shape) < density
+            assert dec.label_sets(chosen) == self.per_row(chosen)
+
+    def test_one_row_gives_one_set_of_python_ints(self):
+        labels = dec.label_sets(np.array([False, True, False, True]))
+        assert labels == {1, 3}
+        assert all(type(label) is int for label in labels)
+
+    def test_an_all_false_row_gives_an_empty_set(self):
+        assert dec.label_sets(np.array([[False, True], [False, False]])) == [{1}, set()]
+
+    def test_every_row_gets_its_own_set(self):
+        sets = dec.label_sets(np.zeros((3, 4), dtype=bool))
+        sets[0].add(2)
+        assert sets == [{2}, set(), set()]
+
+
 class TestBceHead:
     def test_zero_logits_give_half_probabilities(self):
         head = dec.BceHead(np.random.default_rng(6), d_model=8, num_labels=3)

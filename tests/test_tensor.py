@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
 from labelset import nn, tensor as T
@@ -294,20 +295,131 @@ def _layer_norm_oracle(x, gamma, beta, g, eps=1e-5):
             g.reshape(-1, width).sum(axis=0))
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 5, 7), (8, 12, 64)], ids=["1d", "3d", "wide"])
-def test_layer_norm_equals_the_mean_var_oracle_bitwise(shape):
+@pytest.mark.parametrize("shape, x_dtype, affine_dtype", [
+    ((3,), np.float64, np.float64), ((2, 5, 7), np.float64, np.float64),
+    ((8, 12, 64), np.float64, np.float64), ((8, 12, 64), np.float32, np.float32),
+    ((2, 5, 7), np.float32, np.float64),
+], ids=["1d", "3d", "wide", "float32", "float64-affine"])
+def test_layer_norm_equals_the_mean_var_oracle_bitwise(shape, x_dtype, affine_dtype):
+    # float64 gamma and beta widen a float32 output, so it cannot be
+    # written into the float32 buffer of the squares
     rng = np.random.default_rng(24)
-    x = T.Tensor(rng.normal(0.3, 2.0, size=shape), requires_grad=True)
-    gamma = T.Tensor(rng.uniform(0.5, 1.5, size=shape[-1]), requires_grad=True)
-    beta = leaf(rng, shape[-1])
-    probe = rng.standard_normal(shape)
+    x = T.Tensor(rng.normal(0.3, 2.0, size=shape).astype(x_dtype), requires_grad=True)
+    gamma = T.Tensor(rng.uniform(0.5, 1.5, size=shape[-1]).astype(affine_dtype), requires_grad=True)
+    beta = T.Tensor(rng.standard_normal(shape[-1]).astype(affine_dtype), requires_grad=True)
+    probe = rng.standard_normal(shape).astype(np.result_type(x_dtype, affine_dtype))
     out = T.layer_norm(x, gamma, beta)
     T.backward((out * T.Tensor(probe)).sum())
     expected = _layer_norm_oracle(x.data, gamma.data, beta.data, probe)
-    # gradients accumulate into zeros, which turns a -0.0 into 0.0
+    # gradients accumulate into zeros of the operand's dtype, which turns a
+    # -0.0 into 0.0 and rounds a wider gradient once
+    assert out.data.dtype == expected[0].dtype
     got = (out.data, x.grad, gamma.grad, beta.grad)
     for have, want in zip(got, (expected[0],) + tuple(0.0 + e for e in expected[1:])):
-        assert have.tobytes() == want.tobytes()
+        assert have.tobytes() == want.astype(have.dtype).tobytes()
+
+
+def _attention_reference(q, k, v, num_heads, bias=None):
+    """Attention in plain numpy: split heads, q @ kᵀ * scale + bias, the
+    max-shifted softmax, weighted sum and merge."""
+    width = q.shape[-1]
+    head_dim = width // num_heads
+
+    def split(a):
+        return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, head_dim)), -3, -2)
+
+    scores = split(q) @ np.swapaxes(split(k), -1, -2) * (1.0 / math.sqrt(head_dim))
+    if bias is not None:
+        scores = scores + bias
+    exped = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    weights = exped / np.sum(exped, axis=-1, keepdims=True)
+    out = np.swapaxes(weights @ split(v), -3, -2)
+    return out.reshape(out.shape[:-2] + (width,))
+
+
+ATTENTION_CASES = {
+    # name: (query shape, memory shape, bias shape or None, bias dtype); 11
+    # keys, since numpy sums a row of 8 or more contiguous values pairwise,
+    # and a sum taken in another layout would round differently
+    "batched": ((3, 6, 8), (3, 11, 8), (3, 1, 1, 11), np.float32),
+    "unbatched-queries": ((6, 8), (3, 11, 8), (3, 1, 1, 11), np.float32),
+    "no-bias": ((3, 6, 8), (3, 11, 8), None, None),
+    "float64-bias": ((3, 6, 8), (3, 11, 8), (3, 1, 1, 11), np.float64),
+    "bias-wider-than-scores": ((6, 8), (11, 8), (3, 1, 1, 11), np.float32),
+}
+
+
+@pytest.mark.parametrize("case", ATTENTION_CASES)
+def test_attention_equals_the_plain_numpy_reference_bitwise(case):
+    # the last two cases cannot take the bias in place: one widens the
+    # scores' dtype, the other their shape
+    q_shape, kv_shape, bias_shape, bias_dtype = ATTENTION_CASES[case]
+    rng = np.random.default_rng(25)
+    q = rng.standard_normal(q_shape).astype(np.float32)
+    k, v = (rng.standard_normal(kv_shape).astype(np.float32) for _ in range(2))
+    bias = None
+    if bias_shape is not None:
+        mask = (rng.random(bias_shape[:1] + bias_shape[-1:]) < 0.7).astype(float)
+        mask[:, 0] = 1.0
+        bias = nn.mask_to_bias(mask, bias_dtype).reshape(bias_shape)
+    with T.no_grad():
+        out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2, bias).data
+    want = _attention_reference(q, k, v, 2, bias)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, dtype", [((9,), np.float64), ((4, 8, 9), np.float32),
+                                          ((3, 32, 65), np.float32), ((2, 5, 70), np.float64)],
+                         ids=["1d", "k8", "k64", "float64"])
+def test_log_softmax_equals_the_plain_numpy_reference_bitwise(shape, dtype):
+    rng = np.random.default_rng(26)
+    # a column slice, as the K=64 head hands its 65 of 80 computed columns on
+    x = (rng.standard_normal(shape[:-1] + (shape[-1] + 15,)) * 4.0).astype(dtype)[..., :shape[-1]]
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    want = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    got = T.log_softmax(T.Tensor(x)).data
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _row_max_oracle(x):
+    """``np.maximum.reduce`` over the last axis, with a zero maximum made
+    +0 where its row holds both signed zeros: the order of comparison may
+    then pick either, and ``_row_max`` compares in a different order."""
+    want = np.maximum.reduce(x, axis=-1, keepdims=True)
+    zero = x == 0
+    both = (zero & np.signbit(x)).any(axis=-1, keepdims=True) & (zero & ~np.signbit(x)).any(axis=-1, keepdims=True)
+    return want, both
+
+
+def _assert_row_max_matches(x):
+    got = T._row_max(x)
+    want, both = _row_max_oracle(x)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.where(both, np.abs(got), got).tobytes() == np.where(both, np.abs(want), want).tobytes()
+
+
+class TestRowMax:
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           lead=hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=5),
+           width=st.integers(1, 70), pad=st.integers(0, 15))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_maximum_reduce(self, data, dtype, lead, width, pad):
+        # ``pad`` extra columns, sliced off again, make the input non-contiguous
+        elements = st.floats(allow_nan=False, width=np.dtype(dtype).itemsize * 8)
+        x = data.draw(hnp.arrays(dtype, lead + (width + pad,), elements=elements))[..., :width]
+        _assert_row_max_matches(x)
+
+    @pytest.mark.parametrize("shape", [(40000, 1), (3000, 40), (8, 4, 500, 12)])
+    def test_inputs_longer_than_one_block(self, shape):
+        x = np.random.default_rng(27).standard_normal(shape).astype(np.float32)
+        assert x.size > T._ROW_MAX_BLOCK
+        _assert_row_max_matches(x)
+
+    def test_signed_zeros_may_only_swap_sign(self):
+        x = np.array([[0.0, -0.0, -1.0], [-0.0, -0.0, -2.0], [-0.0, 0.0, 0.0]], np.float32)
+        got = T._row_max(x)
+        assert (got == 0.0).all() and np.signbit(got[1, 0])
 
 
 class TestWorkedExamples:
