@@ -137,7 +137,9 @@ class GcnStack(nn.Module):
             self.register(f"layer_weight{i}", nn.uniform_init(rng, width, (width, width)))
             for i in range(num_layers)
         ]
-        self.propagation = np.asarray(propagation, dtype=self.node_features.data.dtype)
+        # a read-only copy: a constant, which serving may read once for many calls
+        self.propagation = np.array(propagation, dtype=self.node_features.data.dtype)
+        self.propagation.flags.writeable = False
 
     def __call__(self) -> T.Tensor:
         slope = 0.0 if self.activation == "relu" else 0.01

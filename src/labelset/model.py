@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -188,6 +189,13 @@ class Model(nn.Module):
                 config.decoder_heads, dropout=config.dropout))
         else:
             self.bce = self.add_child("bce", BceHead(rng, config.d_model, k))
+        # every parameter ``queries`` and the decoder's prefix read, and the
+        # arrays they held when ``_decoder_prefix`` last kept its result
+        self._prefix_reads = [] if self.decoder is None else (
+            [p for name, p in self.named_parameters().items()
+             if name.startswith(("gcn.", "query_projection.", "query_table"))]
+            + self.decoder.prefix_parameters())
+        self._kept_prefix = None
 
     def queries(self) -> T.Tensor | None:
         """Decoder input embeddings: graph-propagated or plain learnable;
@@ -195,6 +203,28 @@ class Model(nn.Module):
         if self.gcn is not None:
             return self.query_projection(self.gcn())
         return self.query_table
+
+    def _decoder_prefix(self) -> tuple[T.Tensor, tuple[T.Tensor, T.Tensor]]:
+        """The queries and the decoder's ``prefix`` of them, without
+        dropout and under ``no_grad``.  The result is kept, and returned
+        again, while every parameter it read still holds the same read-only
+        array: such an array cannot be written in place, and a rebound one
+        fails the identity check.  ``load_checkpoint`` makes arrays
+        read-only; those of a built model, or the ``Adam`` views of a
+        trained one, are writable, so such a model computes it every call."""
+        arrays = [param.data for param in self._prefix_reads]
+        fixed = not any(array.flags.writeable for array in arrays)
+        kept = self._kept_prefix
+        if fixed and kept is not None and all(map(operator.is_, arrays, kept[0])):
+            return kept[1]
+        with T.no_grad():
+            queries = self.queries()
+            result = queries, self.decoder.prefix(queries)
+        if fixed:
+            for tensor in (queries, *result[1]):   # shared by every later call
+                tensor.data.flags.writeable = False
+            self._kept_prefix = arrays, result
+        return result
 
     def encode(self, token_rows, width: int | None = None,
                rng: np.random.Generator | None = None) -> EncodedSentence:
@@ -226,8 +256,9 @@ class Model(nn.Module):
         in any chunk.  From 128 on they need not, since ``linear`` gives a
         row the same bits at any row count only up to an inner width of 256
         and the feed-forward's is 4·``d_model``.  Even widths halve the
-        chunks a call of mixed lengths runs.  The label queries are computed
-        once per call.
+        chunks a call of mixed lengths runs.  The label queries and the
+        decoder's prefix of them (``SetDecoder.prefix``) are computed once
+        per call, or kept from an earlier call (``_decoder_prefix``).
 
         A call of at least ``2 * SERVE_TOKENS`` real tokens, on a process
         that may run on more than one CPU, runs its chunks on a pool of one
@@ -251,15 +282,14 @@ class Model(nn.Module):
             size = max(1, SERVE_TOKENS // max(width, slots))
             chunks += [(width, group[start:start + size]) for start in range(0, len(group), size)]
         workers = _cpu_count() if sum(lengths) >= 2 * SERVE_TOKENS else 1
-        with T.no_grad():
-            queries = self.queries()
+        queries, prefix = (None, None) if self.decoder is None else self._decoder_prefix()
 
         def run(chunk):
             width, indices = chunk
             with T.no_grad():
                 memory = self.encode([rows[i] for i in indices], width)
                 return (self.bce.predict(memory) if self.bce is not None
-                        else predict_labels(self.decoder.decode(queries, memory)))
+                        else predict_labels(self.decoder.decode(queries, memory, prefix=prefix)))
 
         if workers > 1:
             with ThreadPoolExecutor(workers) as pool:
@@ -366,7 +396,9 @@ def _read_archive(path) -> dict[str, np.ndarray]:
 def load_checkpoint(path) -> Model:
     """The model a checkpoint stores, with its parameters in the model's
     dtype (float32); float64 checkpoints load too.  A file that cannot be
-    read, or whose archive is damaged, is a ``CheckpointError``."""
+    read, or whose archive is damaged, is a ``CheckpointError``.  The
+    parameter arrays are read-only, so serving may keep what it computes
+    from them alone across calls; ``Adam`` rebinds them to writable views."""
     try:
         archive = _read_archive(path)
     # besides BadZipFile, zip raises EOFError for a member that runs past the
@@ -408,4 +440,5 @@ def load_checkpoint(path) -> Model:
                 f"checkpoint {path} parameter {name} has shape {value.shape}, "
                 f"model expects {param.data.shape}")
         param.data = _checked_array(path, f"param/{name}", value, param.data.dtype)
+        param.data.flags.writeable = False
     return model

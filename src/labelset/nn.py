@@ -109,9 +109,11 @@ class MultiHeadAttention(Module):
         self.proj_v = self.add_child("proj_v", Linear(rng, d_model, d_model))
         self.proj_out = self.add_child("proj_out", Linear(rng, d_model, d_model))
 
-    def __call__(self, query: T.Tensor, memory: T.Tensor, bias: np.ndarray | None = None) -> T.Tensor:
-        mixed = T.attention(self.proj_q(query), self.proj_k(memory), self.proj_v(memory),
-                            self.num_heads, bias)
+    def __call__(self, query: T.Tensor, memory: T.Tensor, bias: np.ndarray | None = None,
+                 projected: bool = False) -> T.Tensor:
+        """``projected``: ``query`` is already ``proj_q``'s output."""
+        q = query if projected else self.proj_q(query)
+        mixed = T.attention(q, self.proj_k(memory), self.proj_v(memory), self.num_heads, bias)
         return self.proj_out(mixed)
 
 
@@ -163,18 +165,38 @@ class TransformerLayer(Module):
         self.ffn = self.add_child("ffn", FeedForward(rng, d_model))
         self.drop = Dropout(dropout)
 
+    def prefix(self, x: T.Tensor, self_bias: np.ndarray | None = None,
+               rng: np.random.Generator | None = None,
+               rows: tuple[int, ...] = ()) -> tuple[T.Tensor, T.Tensor | None]:
+        """The block up to its first read of a memory: ``x`` after the
+        self-attention sub-layer, and with ``cross`` the cross-attention's
+        projected queries (else None).  ``rows``: the batch axes dropout
+        spans, the memory's leading axes."""
+        normed = self.norm_self(x)
+        x = x + self.drop(self.attn_self(normed, normed, bias=self_bias), rng, rows)
+        return x, (self.attn_cross.proj_q(self.norm_cross(x)) if self.cross else None)
+
+    def prefix_parameters(self) -> list[T.Tensor]:
+        """The parameters ``prefix`` reads."""
+        parts = [self.norm_self, self.attn_self]
+        if self.cross:
+            parts += [self.norm_cross, self.attn_cross.proj_q]
+        return [param for part in parts for param in part.named_parameters().values()]
+
     def __call__(self, x: T.Tensor, memory: T.Tensor | None = None,
                  self_bias: np.ndarray | None = None, memory_bias: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None) -> T.Tensor:
-        """Dropout runs on each sub-layer's output when ``rng`` is given."""
+                 rng: np.random.Generator | None = None,
+                 prefix: tuple[T.Tensor, T.Tensor | None] | None = None) -> T.Tensor:
+        """Dropout runs on each sub-layer's output when ``rng`` is given.
+        ``prefix``: what ``self.prefix(x)`` returned, which is then not
+        computed again (nor ``x`` read)."""
         if self.cross and memory is None:
             raise ContractError("cross-attention layer called without memory")
         # the decoder's (m, d) queries are shared until cross-attention; masks are not
         rows = () if memory is None else memory.shape[:-2]
-        normed = self.norm_self(x)
-        x = x + self.drop(self.attn_self(normed, normed, bias=self_bias), rng, rows)
+        x, q = self.prefix(x, self_bias, rng, rows) if prefix is None else prefix
         if self.cross:
-            x = x + self.drop(self.attn_cross(self.norm_cross(x), memory, bias=memory_bias),
+            x = x + self.drop(self.attn_cross(q, memory, bias=memory_bias, projected=True),
                               rng, rows)
         x = x + self.drop(self.ffn(self.norm_ffn(x)), rng, rows)
         return x

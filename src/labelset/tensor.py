@@ -330,7 +330,9 @@ def linear(x, weight, bias=None) -> Tensor:
         # d_model 64 a serving chunk's (at most 1,024 rows) stays in the small kernel
         w = np.zeros((d_in, d_out + -d_out % 16), w.dtype)
         w[:, :d_out] = weight.data
-    out = (rows @ w)[:len(x2d), :d_out]
+    out = rows @ w
+    if rows is not x2d or w is not weight.data:   # drop the doubled row and the zero columns
+        out = out[:len(x2d), :d_out]
     if bias is not None:
         # in place, unless a wider bias widens the output as ``out + bias`` does
         out = np.add(out, bias.data, out=out if bias.data.dtype == out.dtype else None)

@@ -12,6 +12,11 @@ Run as ``PYTHONPATH=src python tests/fingerprint.py [--against FILE] [config ...
 - ``chunks``: the sha256 of each serving chunk's head output (the decoder's
   log-probabilities, or the bce head's logits), in chunk order.
 
+The trained model is also saved with ``save_checkpoint`` and loaded again,
+and the loaded model serves the same records twice, the second time with
+the decoder prefix it kept from the first; if either pass gives other
+labels or chunks than the trained model, the script exits 1 with a message.
+
 A change meant to keep every bit prints the same object as its parent: run
 the script with the parent's ``src`` on ``PYTHONPATH`` and save what it
 prints, then run it with the change's ``src`` and ``--against`` that file.
@@ -36,7 +41,7 @@ from itertools import zip_longest
 from labelset import model as model_module
 from labelset.data import SyntheticSpec, generate_synthetic, synthetic_corpus
 from labelset.decoder import BceHead, SetDecoder
-from labelset.model import RunConfig
+from labelset.model import RunConfig, load_checkpoint, save_checkpoint
 from labelset.training import run_training
 
 K64_SPEC = {"num_labels": 64, "vocab_size": 160, "extra_label_prob": 0.25}
@@ -93,12 +98,19 @@ def fingerprint(name: str) -> dict:
         model, _ = run_training(RunConfig(**settings), corpus, out_dir=out_dir)
         with open(os.path.join(out_dir, "train_log.jsonl"), "rb") as fh:
             train_log = [sha256(line) for line in fh]
+        save_checkpoint(os.path.join(out_dir, "final.npz"), model)
+        loaded = load_checkpoint(os.path.join(out_dir, "final.npz"))
     parameters = hashlib.sha256()
     for param_name, param in model.named_parameters().items():
         parameters.update(param_name.encode())
         parameters.update(array_digest(param.data).encode())
     records = generate_synthetic(SyntheticSpec(**spec, train_size=SERVE_RECORDS, seed=SERVE_SEED))[0]
-    labels, chunks = serve(model, [model.token_vocab.encode(record.text) for record in records])
+    rows = [model.token_vocab.encode(record.text) for record in records]
+    labels, chunks = serve(model, rows)
+    for _ in range(2):
+        if serve(loaded, rows) != (labels, chunks):
+            raise SystemExit(f"{name}: the checkpoint-loaded model serves other labels or "
+                             f"chunks than the trained model")
     return {
         "parameters": parameters.hexdigest(),
         "train_log": train_log,

@@ -13,6 +13,8 @@ from labelset.decoder import PredictionSet
 from labelset.diversity import objective
 from labelset.errors import ContractError, GraphConstructionError
 
+# the paper-like corpus of 64 labels (``SyntheticSpec`` settings)
+K64_SPEC = {"num_labels": 64, "vocab_size": 160, "extra_label_prob": 0.25}
 FD_STEP = 1e-5
 GRAD_TOL = 1e-3
 

@@ -43,3 +43,17 @@ def test_against_names_each_tampered_digest_and_exits_1(smallest, tmp_path, caps
 
 def test_a_config_missing_from_the_saved_file_is_a_difference(smallest):
     assert fingerprint.differences(smallest, {}) == ["leaky_relu: not in the saved fingerprint"]
+
+
+def test_a_loaded_model_that_serves_other_bytes_exits_1(monkeypatch):
+    load = fingerprint.load_checkpoint
+
+    def perturbed(path):
+        model = load(path)
+        param = model.named_parameters()["decoder.layer0.attn_self.proj_v.weight"]
+        param.data = param.data + 0.5
+        return model
+
+    monkeypatch.setattr(fingerprint, "load_checkpoint", perturbed)
+    with pytest.raises(SystemExit, match="checkpoint-loaded model serves other labels or chunks"):
+        fingerprint.fingerprint("leaky_relu")

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 import labelset.model as model_module
 import labelset.tensor as T
+from helpers import K64_SPEC
 from labelset.data import SyntheticSpec, batch_iterator, synthetic_corpus
 from labelset.encoder import CLS, PAD, SEP, SPECIALS
 from labelset.errors import CheckpointError, ConfigError, ContractError, NumericDomainError
+from labelset.graph import GcnStack
 from labelset.model import (
     SERVE_TOKENS,
     Model,
@@ -30,7 +32,7 @@ from labelset.model import (
     resolve_num_queries,
     save_checkpoint,
 )
-from labelset.training import batch_loss, evaluate
+from labelset.training import Adam, batch_loss, evaluate, run_training
 
 
 def tiny_corpus(seed=0, num_labels=5):
@@ -644,6 +646,153 @@ class TestRowIndependence:
         model.predict_many(rows)
         assert [tokens.shape for tokens, _, _ in calls] == [(12, 10)]
         assert all(output.tobytes() == alone[row.tobytes()] for row, output in chunk_rows(calls))
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Trained models by name, with the corpus they learned and the path of
+    their saved checkpoint: the default config and a K=64 one."""
+    out = {}
+    for name, spec, config in [("default", {}, RunConfig(epochs=2)),
+                               ("k64", K64_SPEC, RunConfig(epochs=2, num_queries=32))]:
+        corpus = synthetic_corpus(SyntheticSpec(**spec))
+        model, _ = run_training(config, corpus)
+        path = tmp_path_factory.mktemp(name) / "best.npz"
+        save_checkpoint(str(path), model)
+        out[name] = model, corpus, str(path)
+    return out
+
+
+def served(monkeypatch, model, rows, one_row=False):
+    """The labels ``predict_many`` (or ``predict`` row by row) gives ``rows``,
+    and each row's head-output bytes, keyed by the row's bytes.  Undoes
+    every patch of ``monkeypatch`` before it returns."""
+    calls = serving_calls(monkeypatch, model)
+    labels = [model.predict(row) for row in rows] if one_row else model.predict_many(rows)
+    monkeypatch.undo()
+    return labels, {row.tobytes(): output.tobytes() for row, output in chunk_rows(calls)}
+
+
+class TestKeptPrefix:
+    """A checkpoint-loaded model keeps the decoder's parameter-only prefix
+    across serving calls while its parameters stay the same read-only
+    arrays; anything that could change them makes it compute the prefix
+    again."""
+
+    @pytest.mark.parametrize("name", ["default", "k64"])
+    def test_a_loaded_model_serves_the_trained_bytes_every_way(self, monkeypatch, trained, name):
+        model, corpus, path = trained[name]
+        rows = [sample.tokens for sample in corpus.valid] + list(random_rows(model, 120, 20))
+        assert sum(min(len(row), model.config.max_len) for row in rows) >= 2 * SERVE_TOKENS
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 1)
+        expected = served(monkeypatch, model, rows)
+        loaded = load_checkpoint(path)
+        for cpus, one_row in [(1, False), (2, False), (1, True)]:
+            monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
+            assert served(monkeypatch, loaded, rows, one_row) == expected, (cpus, one_row)
+        assert loaded._kept_prefix is not None
+
+    def test_threads_serving_at_once_give_the_serial_bytes(self, monkeypatch, trained):
+        # four callers race to compute and keep the prefix of a fresh load
+        model, corpus, path = trained["default"]
+        rows = [sample.tokens for sample in corpus.valid]
+        expected, alone = model.predict_many(rows), alone_at_width(model, rows)
+        loaded = load_checkpoint(path)
+        calls = serving_calls(monkeypatch, loaded)
+        results = [None] * 4
+
+        def serve(i):
+            results[i] = [loaded.predict(row) for row in rows]
+
+        callers = [threading.Thread(target=serve, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * 4
+        served_rows = chunk_rows(calls)
+        assert len(served_rows) == 4 * len(rows)
+        assert all(output.tobytes() == alone[row.tobytes()] for row, output in served_rows)
+
+    def test_a_loaded_parameter_cannot_be_written_in_place(self, trained):
+        model = load_checkpoint(trained["default"][2])
+        for name, param in model.named_parameters().items():
+            with pytest.raises(ValueError, match="read-only"):
+                param.data[...] = 0.0
+        assert not model.gcn.propagation.flags.writeable
+
+    @pytest.mark.parametrize("name", ["gcn.node_features", "decoder.layer0.attn_self.proj_v.weight",
+                                      "decoder.layer0.attn_cross.proj_q.bias"])
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_a_rebound_prefix_parameter_serves_its_new_values(self, monkeypatch, trained,
+                                                              name, writeable):
+        _, corpus, path = trained["default"]
+        model = load_checkpoint(path)
+        rows = [sample.tokens for sample in corpus.valid.samples[:20]]
+        before = served(monkeypatch, model, rows, one_row=True)
+        param = model.named_parameters()[name]
+        new = np.random.default_rng(3).uniform(-1.0, 1.0, param.data.shape).astype(np.float32)
+        new.flags.writeable = writeable
+        param.data = new
+        after = served(monkeypatch, model, rows, one_row=True)
+        fresh = load_checkpoint(path)
+        fresh.named_parameters()[name].data = new.copy()
+        assert after == served(monkeypatch, fresh, rows, one_row=True)
+        assert after[1] == alone_at_width(model, rows)
+        assert after[1] != before[1]
+        # a read-only replacement is kept in turn; a writable one never is
+        assert any(array is new for array in model._kept_prefix[0]) == (not writeable)
+
+    def test_every_rebound_parameter_serves_its_new_values(self, monkeypatch, trained):
+        # a parameter the prefix reads but the kept prefix's check missed
+        # would serve the old values once rebound to a read-only array
+        _, corpus, path = trained["default"]
+        model = load_checkpoint(path)
+        rows = [sample.tokens for sample in corpus.valid.samples[:3]]
+        rng = np.random.default_rng(4)
+        for name, param in model.named_parameters().items():
+            kept = param.data
+            param.data = kept + rng.uniform(-0.5, 0.5, kept.shape).astype(kept.dtype)
+            param.data.flags.writeable = False
+            assert served(monkeypatch, model, rows, one_row=True)[1] == alone_at_width(model, rows), name
+            param.data = kept
+
+    def test_after_adam_steps_a_loaded_model_serves_what_it_recomputes(self, monkeypatch, trained):
+        _, corpus, path = trained["default"]
+        model = load_checkpoint(path)
+        rows = [sample.tokens for sample in corpus.valid.samples[:20]]
+        before = served(monkeypatch, model, rows, one_row=True)
+        optimizer = Adam(model.trainable_parameters(), model.config.learning_rate)
+        assert served(monkeypatch, model, rows, one_row=True) == before
+        T.reset_tape()
+        T.backward(batch_loss(model, next(batch_iterator(corpus.train, 8)), model.queries()).total)
+        T.reset_tape()
+        optimizer.step()
+        after = served(monkeypatch, model, rows, one_row=True)
+        assert after[1] == alone_at_width(model, rows)
+        assert after[1] != before[1]
+
+    def test_only_a_loaded_model_runs_the_gcn_once_for_many_calls(self, monkeypatch, trained):
+        _, corpus, path = trained["default"]
+        calls, gcn = [], GcnStack.__call__
+
+        def counted(stack):
+            calls.append(stack)
+            return gcn(stack)
+
+        monkeypatch.setattr(GcnStack, "__call__", counted)
+        for serving, expected in [(load_checkpoint(path), 1), (build_model(RunConfig(), corpus), 50)]:
+            calls.clear()
+            for sample in corpus.valid.samples[:50]:
+                serving.predict(sample.tokens)
+            assert len(calls) == expected
+
 
 def tampered(path, mutate):
     """Rewrite a checkpoint archive after applying ``mutate`` to its arrays."""

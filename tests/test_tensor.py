@@ -402,7 +402,7 @@ def _assert_row_max_matches(x):
 class TestRowMax:
     @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
            lead=hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=5),
-           width=st.integers(1, 70), pad=st.integers(0, 15))
+           width=st.integers(1, 130), pad=st.integers(0, 15))
     @settings(max_examples=300, deadline=None)
     def test_equals_numpy_maximum_reduce(self, data, dtype, lead, width, pad):
         # ``pad`` extra columns, sliced off again, make the input non-contiguous

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import labelset.tensor as T
 import labelset.training as training_mod
-from helpers import check_gradients
+from helpers import K64_SPEC, check_gradients
 from labelset.data import RawRecord, SyntheticSpec, batch_iterator, build_corpus, pad_batch, synthetic_corpus
 from labelset.errors import ContractError, NumericDomainError, TrainingDiverged
 from labelset.model import RunConfig, build_model, load_checkpoint
@@ -438,7 +438,6 @@ class TestBatchLoss:
         assert all(t.requires_grad for t in receivers)
 
 
-K64_SPEC = {"num_labels": 64, "vocab_size": 160, "extra_label_prob": 0.25}
 PRECISION_CASES = {
     "default": ({}, {}),
     "k64-log_prob": (K64_SPEC, {"num_queries": 32, "cost_mode": "log_prob"}),
