@@ -100,7 +100,7 @@ def resolve_config(args):
                 raw = json.load(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ConfigError(f"{args.config} is not valid JSON: nested too deeply") from exc

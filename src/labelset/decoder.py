@@ -69,12 +69,9 @@ class SetDecoder(nn.Module):
 
     def prefix(self, queries: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
         """The part of a pass without dropout that reads no sentence (layer
-        0's ``TransformerLayer.prefix``); ``prefix_parameters`` lists what
-        it reads besides ``queries``."""
+        0's ``TransformerLayer.prefix``): it reads ``queries`` and layer 0's
+        parameters only."""
         return self.layers[0].prefix(queries)
-
-    def prefix_parameters(self) -> list[T.Tensor]:
-        return self.layers[0].prefix_parameters()
 
     def decode(self, queries: T.Tensor, memory: EncodedSentence,
                rng: np.random.Generator | None = None,
@@ -121,23 +118,31 @@ class BceHead(nn.Module):
 
     def loss(self, memory: EncodedSentence, gold) -> T.Tensor:
         """Mean binary cross entropy per sentence of ``gold`` label collections
-        (one collection for an unbatched memory)."""
-        lead = memory.hidden.shape[:-2]
-        rows = list(gold) if lead else [gold]
-        multi_hot = np.zeros((len(rows), self.num_labels))
+        (one collection for an unbatched memory), recorded as one node in the
+        stable form ``max(z, 0) - z·y + log(1 + exp(-|z|))`` of logits z and
+        targets y, whose gradient is ``expit(z) - y``."""
+        logits = self.logits(memory)
+        z = logits.data
+        rows = list(gold) if z.ndim > 1 else [gold]
+        targets = np.zeros((len(rows), self.num_labels), z.dtype)
         for r, labels in enumerate(rows):
             for label in labels:
                 if not 0 <= label < self.num_labels:
                     raise ContractError(f"gold label {label} out of range for K={self.num_labels}")
-                multi_hot[r, label] = 1.0
-        targets = multi_hot.reshape(lead + (self.num_labels,))
-        return T.bce_with_logits(self.logits(memory), targets).mean(axis=-1)
+                targets[r, label] = 1.0
+        targets = targets.reshape(z.shape)
+        value = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
+        return T.custom_op(logits, value, lambda g: g * (_expit(z) - targets)).mean(axis=-1)
 
     def predict(self, memory: EncodedSentence):
-        """Labels whose probability reaches 0.5 (per sentence, as ``label_sets``).
+        """Labels whose probability reaches 0.5 (per sentence, as ``label_sets``)."""
+        return label_sets(_expit(self.logits(memory).data) >= 0.5)
 
-        SciPy's ``expit`` is imported here, not with the module, because that
-        import costs about 0.3 s and 40 MiB that set-prediction serving never uses."""
-        from scipy.special import expit
 
-        return label_sets(expit(self.logits(memory).data) >= 0.5)
+def _expit(x: np.ndarray) -> np.ndarray:
+    """SciPy's logistic function, imported here, not with the module, because
+    that import costs about 0.3 s and 40 MiB that set-prediction serving never
+    uses."""
+    from scipy.special import expit
+
+    return expit(x)

@@ -189,12 +189,12 @@ class Model(nn.Module):
                 config.decoder_heads, dropout=config.dropout))
         else:
             self.bce = self.add_child("bce", BceHead(rng, config.d_model, k))
-        # every parameter ``queries`` and the decoder's prefix read, and the
-        # arrays they held when ``_decoder_prefix`` last kept its result
-        self._prefix_reads = [] if self.decoder is None else (
-            [p for name, p in self.named_parameters().items()
-             if name.startswith(("gcn.", "query_projection.", "query_table"))]
-            + self.decoder.prefix_parameters())
+        # the parameters of the query source and of the decoder's layer 0,
+        # which hold all that ``queries`` and the decoder's prefix read, and
+        # the arrays they held when ``_decoder_prefix`` last kept its result
+        self._prefix_reads = [] if self.decoder is None else [
+            p for name, p in self.named_parameters().items()
+            if name.startswith(("gcn.", "query_projection.", "query_table", "decoder.layer0."))]
         self._kept_prefix = None
 
     def queries(self) -> T.Tensor | None:
@@ -207,10 +207,11 @@ class Model(nn.Module):
     def _decoder_prefix(self) -> tuple[T.Tensor, tuple[T.Tensor, T.Tensor]]:
         """The queries and the decoder's ``prefix`` of them, without
         dropout and under ``no_grad``.  The result is kept, and returned
-        again, while every parameter it read still holds the same read-only
-        array: such an array cannot be written in place, and a rebound one
-        fails the identity check.  ``load_checkpoint`` makes arrays
-        read-only; those of a built model, or the ``Adam`` views of a
+        again, while every parameter of the query source and of the
+        decoder's layer 0, a superset of what it read, still holds the same
+        read-only array: such an array cannot be written in place, and a
+        rebound one fails the identity check.  ``load_checkpoint`` makes
+        arrays read-only; those of a built model, or the ``Adam`` views of a
         trained one, are writable, so such a model computes it every call."""
         arrays = [param.data for param in self._prefix_reads]
         fixed = not any(array.flags.writeable for array in arrays)
@@ -416,19 +417,21 @@ def load_checkpoint(path) -> Model:
             f"checkpoint {path} has version {version}, not the supported {CHECKPOINT_VERSION}")
     try:
         raw = json.loads(str(_metadata(path, archive, "__config__")))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"checkpoint {path} array __config__ is not JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise CheckpointError(f"checkpoint {path} array __config__ is not a JSON object")
-    config = RunConfig.from_dict(raw)
     label_vocab = LabelVocabulary(_names(path, archive, "__labels__"))
     token_vocab = TokenVocabulary(_names(path, archive, "__tokens__", SPECIALS))
     propagation = _checked_array(path, "__propagation__",
                                  _metadata(path, archive, "__propagation__"), np.float64)
-    if propagation.size == 0:
-        propagation = None
-    model = Model(np.random.default_rng(config.seed), config,
-                  label_vocab, token_vocab, propagation)
+    try:
+        config = RunConfig.from_dict(raw)
+        model = Model(np.random.default_rng(config.seed), config, label_vocab, token_vocab,
+                      propagation if propagation.size else None)
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint {path} arrays __config__, __labels__ and __propagation__ "
+                              f"do not describe a model: {exc}") from exc
     stored = {key[len("param/"):] for key in archive if key.startswith("param/")}
     current = set(model.named_parameters())
     if stored != current:

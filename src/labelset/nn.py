@@ -176,13 +176,6 @@ class TransformerLayer(Module):
         x = x + self.drop(self.attn_self(normed, normed, bias=self_bias), rng, rows)
         return x, (self.attn_cross.proj_q(self.norm_cross(x)) if self.cross else None)
 
-    def prefix_parameters(self) -> list[T.Tensor]:
-        """The parameters ``prefix`` reads."""
-        parts = [self.norm_self, self.attn_self]
-        if self.cross:
-            parts += [self.norm_cross, self.attn_cross.proj_q]
-        return [param for part in parts for param in part.named_parameters().values()]
-
     def __call__(self, x: T.Tensor, memory: T.Tensor | None = None,
                  self_bias: np.ndarray | None = None, memory_bias: np.ndarray | None = None,
                  rng: np.random.Generator | None = None,

@@ -16,19 +16,20 @@ exactly the nodes the loss depends on and may be called again on the same
 tape.  Leaves (tensors created with ``requires_grad=True``) keep a gradient
 buffer from creation, and it accumulates until the optimizer clears it.
 
-The tape records twelve kinds of op: ``add``, ``mul``, ``linear``,
+The tape records eleven kinds of op: ``add``, ``mul``, ``linear``,
 ``attention``, ``log_softmax``, ``leaky_relu``, ``gelu``, ``layer_norm``,
-``gather``, a sum or mean, ``custom_op`` and ``bce_with_logits``.  The ReLU
-is ``leaky_relu`` at slope 0.0, and ``-x`` is ``mul`` by -1 in ``x``'s
-dtype.  At the model's sizes the cost is per node, not per flop, so
-``linear`` (matrix product plus optional bias) and ``attention`` (head
-split, scores, mask, softmax, weighted sum, head merge) are fused: one node
-each.  Every matrix product, the GCN's included, is one ``linear`` node.  A
-constant operand of ``linear``, ``add`` or ``mul`` gets no gradient
-product.  Output distributions are taken as log-probabilities
-(``log_softmax``), which stay finite where a probability would underflow
-to 0.  ``gelu`` is the tanh form, a polynomial and one ``tanh`` instead of
-the far costlier ``erf``.
+``gather``, a sum or mean, and ``custom_op``, which carries the models'
+composite losses (the overlap penalty and the bce head's cross entropy)
+as one node each.  The ReLU is ``leaky_relu`` at slope 0.0, and ``-x`` is
+``mul`` by -1 in ``x``'s dtype.  At the model's sizes the cost is per
+node, not per flop, so ``linear`` (matrix product plus optional bias) and
+``attention`` (head split, scores, mask, softmax, weighted sum, head
+merge) are fused: one node each.  Every matrix product, the GCN's
+included, is one ``linear`` node.  A constant operand of ``linear``,
+``add`` or ``mul`` gets no gradient product.  Output distributions are
+taken as log-probabilities (``log_softmax``), which stay finite where a
+probability would underflow to 0.  ``gelu`` is the tanh form, a
+polynomial and one ``tanh`` instead of the far costlier ``erf``.
 
 Importing this module raises glibc's mmap and trim thresholds to 32 MiB
 for the whole process (``mallopt``).  With glibc's defaults, large blocks
@@ -500,22 +501,3 @@ def custom_op(x, out_data, vjp) -> Tensor:
 
     return _record(out_data, (x,), backward_fn)
 
-
-def bce_with_logits(logits, targets) -> Tensor:
-    """Elementwise binary cross entropy on logits, the numerically stable form.
-
-    SciPy's ``expit`` is imported here, not with the module, because that
-    import costs about 0.3 s and 40 MiB that a set-prediction model never uses."""
-    from scipy.special import expit
-
-    logits = as_tensor(logits)
-    targets = np.asarray(targets, dtype=logits.data.dtype)
-    if targets.shape != logits.shape:
-        raise ShapeError(f"bce_with_logits shapes disagree: {logits.shape} vs {targets.shape}")
-    z = logits.data
-    out = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-
-    def backward_fn(g):
-        _accumulate(logits, g * (expit(z) - targets))
-
-    return _record(out, (logits,), backward_fn)

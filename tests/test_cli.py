@@ -126,6 +126,12 @@ class TestExitCodes:
         assert main(["graph", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {cfg} is not valid JSON: nested too deeply\n"
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff")
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {cfg} is not valid JSON: 'utf-8' codec")
+
     def test_train_without_valid_split_is_config_error(self, tmp_path, corpus_dir):
         cfg = tmp_path / "c.json"
         config = write_config(cfg, corpus_dir, out_dir=str(tmp_path / "out"))
@@ -491,9 +497,14 @@ class TestEveryInputEndsInADocumentedExit:
     ("set_prediction", "__labels__", lambda a: np.concatenate([a[:1], a[:-1]])),
     ("set_prediction", "__tokens__", lambda a: np.concatenate([a[:-1], a[-2:-1]])),
     ("set_prediction", "__tokens__", lambda a: np.concatenate([a[1:4], a[:1], a[4:]])),
+    ("set_prediction", "__config__", lambda a: np.array("[" * 100_000 + "]" * 100_000)),
+    ("set_prediction", "__config__", lambda a: np.array(json.dumps({**json.loads(str(a)), "epochs": 0}))),
+    ("set_prediction", "__propagation__", lambda a: a[:-1, :-1]),
+    ("set_prediction", "__labels__", lambda a: a[:-1]),
 ], ids=["bce-nan", "set-nan", "set-inf", "complex", "string", "propagation-nan",
         "config-not-json", "config-null", "version-not-int", "config-missing", "labels-missing",
-        "labels-scalar", "labels-repeated", "tokens-repeated", "tokens-specials-reordered"])
+        "labels-scalar", "labels-repeated", "tokens-repeated", "tokens-specials-reordered",
+        "config-nested-too-deeply", "config-rejected", "propagation-too-small", "labels-too-few"])
 def test_predict_rejects_a_bad_checkpoint_array(tmp_path, capsys, head, name, poison):
     corpus = synthetic_corpus(SyntheticSpec(num_labels=5, vocab_size=30, train_size=24,
                                             valid_size=8, test_size=8, seed=11))
@@ -513,7 +524,8 @@ def test_predict_rejects_a_bad_checkpoint_array(tmp_path, capsys, head, name, po
     code = main(["predict", "--checkpoint", str(checkpoint),
                  "--input", str(inputs), "--output", str(outputs)])
     assert code == EXIT_CONFIG
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {checkpoint} ") and name in err, err
     assert not outputs.exists()
 
 

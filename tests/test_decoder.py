@@ -6,8 +6,10 @@ import pytest
 
 from labelset import decoder as dec
 from labelset import tensor as T
-from labelset.encoder import CLS, SEP, TransformerEncoder
+from labelset.encoder import CLS, SEP, EncodedSentence, TransformerEncoder
 from labelset.errors import ConfigError, ContractError
+
+from helpers import check_gradients
 
 
 @pytest.fixture(autouse=True)
@@ -178,6 +180,15 @@ class TestBceHead:
                                          num_layers=1, num_heads=1, max_len=4)
             memory = encoder.encode(np.array([CLS, SEP]))
             assert float(head.loss(memory, gold).data) < 1e-9
+
+    def test_loss_gradients_match_central_differences(self):
+        # the loss is one custom node, so its vjp alone carries the gradient
+        head = dec.BceHead(np.random.default_rng(13), d_model=8, num_labels=4)
+        hidden = T.Tensor(np.random.default_rng(14).standard_normal((2, 3, 8)), requires_grad=True)
+        memory = EncodedSentence(hidden, np.zeros((2, 1, 1, 3)))
+        gold = [{0, 2}, {3}]
+        check_gradients(lambda ls: head.loss(memory, gold).mean(),
+                        [head.readout.weight, head.readout.bias, hidden])
 
     def test_out_of_range_gold_rejected(self):
         head = dec.BceHead(np.random.default_rng(9), d_model=8, num_labels=3)

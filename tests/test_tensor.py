@@ -84,12 +84,6 @@ class TestPrimitiveGradients:
         check_gradients(lambda ls: (ls[0].mean(axis=1)).sum(), [x])
         check_gradients(lambda ls: ls[0].mean(), [x])
 
-    def test_bce_with_logits(self):
-        rng = np.random.default_rng(13)
-        logits = leaf(rng, 2, 4)
-        targets = rng.integers(0, 2, size=(2, 4)).astype(float)
-        check_gradients(lambda ls: T.bce_with_logits(ls[0], targets).mean(), [logits])
-
     def test_composite_softmax_cross_entropy(self):
         rng = np.random.default_rng(14)
         for trial in range(10):
@@ -535,10 +529,6 @@ class TestTapeDiscipline:
 
 
 class TestShapeContracts:
-    def test_bce_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.bce_with_logits(T.Tensor(np.ones((2, 3))), np.ones((3, 2)))
-
     def test_embedding_range_check(self):
         with pytest.raises(ContractError):
             T.gather(T.Tensor(np.ones((3, 2)), requires_grad=True), np.array([3]))

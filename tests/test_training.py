@@ -506,6 +506,23 @@ class TestFloat32:
             assert err <= 1e-5 * max(np.linalg.norm(g64), 1e-3 * overall), name
 
 
+def test_a_batch_records_only_the_documented_op_kinds():
+    # the kinds ``tensor``'s docstring lists, named by the function whose
+    # backward closure each node holds (``_reduce`` is "a sum or mean")
+    documented = {"add", "mul", "linear", "attention", "log_softmax", "leaky_relu", "gelu",
+                  "layer_norm", "gather", "_reduce", "custom_op"}
+    assert "eleven kinds of op" in T.__doc__
+    assert all(f"``{kind}``" in T.__doc__ for kind in documented - {"_reduce"})
+    for case in ("default", "bce"):
+        model, batch = first_batch(*PRECISION_CASES[case])
+        T.reset_tape()
+        batch_loss(model, batch, model.queries())
+        kinds = {node._backward_fn.__qualname__.split(".")[0] for node in T.active_tape()}
+        T.reset_tape()
+        # the overlap penalty, or the bce head's cross entropy, is a custom op
+        assert "custom_op" in kinds and kinds <= documented, (case, kinds)
+
+
 # tiny corpora and models over the ranges a user can set: one or two heads
 # of width 1 to 4, learning rates up to 1e3, penalty weights up to 100
 TRAINING_RUNS = st.fixed_dictionaries({
