@@ -142,6 +142,17 @@ def load_splits(config):
     return corpus
 
 
+def training_setup(args):
+    """The config, echoed under ``out_dir``, and corpus of train and ablate."""
+    config = resolve_config(args)
+    corpus = load_splits(config)
+    if len(corpus.valid) == 0:
+        raise ConfigError("valid_path is required: training selects its checkpoint "
+                          "by validation F1")
+    echo_config(config, config.out_dir)
+    return config, corpus
+
+
 def cmd_graph(args) -> int:
     from .graph import LabelGraph, dump_matrix
 
@@ -176,12 +187,7 @@ def cmd_graph(args) -> int:
 def cmd_train(args) -> int:
     from .training import run_training
 
-    config = resolve_config(args)
-    corpus = load_splits(config)
-    if len(corpus.valid) == 0:
-        raise ConfigError("valid_path is required: training selects its checkpoint "
-                          "by validation F1")
-    echo_config(config, config.out_dir)
+    config, corpus = training_setup(args)
     model, result = run_training(config, corpus, out_dir=config.out_dir, log_stream=sys.stdout)
     write_json(os.path.join(config.out_dir, "run_summary.json"), {
         "best_epoch": result.best_epoch,
@@ -246,13 +252,8 @@ def cmd_ablate(args) -> int:
     from .model import RunConfig, load_checkpoint
     from .training import evaluate, run_training
 
-    config = resolve_config(args)
-    corpus = load_splits(config)
-    if len(corpus.valid) == 0:
-        raise ConfigError("valid_path is required: training selects its checkpoint "
-                          "by validation F1")
+    config, corpus = training_setup(args)
     target = corpus.test if len(corpus.test) else corpus.valid
-    echo_config(config, config.out_dir)
     rows = []
     for name, overrides in VARIANTS:
         variant_config = RunConfig.from_dict({**config.to_dict(), **overrides})

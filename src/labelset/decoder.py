@@ -49,12 +49,13 @@ class PredictionSet:
 class SetDecoder(nn.Module):
     """``num_classes`` is K + 1: the last class is the no-label class.
 
-    The pass splits where it first reads the sentence.  Its ``prefix``, layer
-    0's self-attention over the queries and its cross-attention's query
-    projection, reads nothing but the queries and parameters, so without
-    dropout one prefix serves every sentence: ``decode`` takes it computed
-    once (``Model.predict_many`` does so per call, and keeps it across calls
-    on a checkpoint-loaded model) or computes it itself."""
+    The pass splits where it first reads the sentence.  Its prefix, layer
+    0's ``TransformerLayer.prefix`` (self-attention over the queries and the
+    cross-attention's query projection), reads only the queries and layer
+    0's parameters, so without dropout one prefix serves every sentence:
+    ``decode`` takes it computed once (``Model.predict_many`` does so per
+    call, and keeps it across calls on a checkpoint-loaded model) or
+    computes it itself."""
 
     def __init__(self, rng: np.random.Generator, num_queries: int, num_classes: int,
                  d_model: int, num_layers: int, num_heads: int, dropout: float = 0.0):
@@ -67,17 +68,11 @@ class SetDecoder(nn.Module):
         self.final_norm = self.add_child("final_norm", nn.LayerNorm(d_model))
         self.head = self.add_child("head", nn.Linear(rng, d_model, num_classes))
 
-    def prefix(self, queries: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
-        """The part of a pass without dropout that reads no sentence (layer
-        0's ``TransformerLayer.prefix``): it reads ``queries`` and layer 0's
-        parameters only."""
-        return self.layers[0].prefix(queries)
-
     def decode(self, queries: T.Tensor, memory: EncodedSentence,
                rng: np.random.Generator | None = None,
                prefix: tuple[T.Tensor, T.Tensor] | None = None) -> PredictionSet:
-        """Dropout runs when given a Generator.  ``prefix``: what
-        ``self.prefix(queries)`` returned, for a pass without dropout."""
+        """Dropout runs when given a Generator.  ``prefix``: what layer 0's
+        ``prefix(queries)`` returned, for a pass without dropout."""
         if queries.shape != self.query_shape:
             raise ConfigError(f"queries shaped {queries.shape}, decoder expects {self.query_shape}")
         x = queries

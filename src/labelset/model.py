@@ -150,10 +150,11 @@ class Model(nn.Module):
         super().__init__()
         if config.num_queries is None:
             raise ConfigError("num_queries must be resolved before model construction")
+        if label_vocab.size == 0:
+            raise ConfigError("a model needs at least one label")
         self.config = config
         self.label_vocab = label_vocab
         self.token_vocab = token_vocab
-        self.propagation = propagation
         k = label_vocab.size
         m = config.num_queries
 
@@ -190,8 +191,9 @@ class Model(nn.Module):
         else:
             self.bce = self.add_child("bce", BceHead(rng, config.d_model, k))
         # the parameters of the query source and of the decoder's layer 0,
-        # which hold all that ``queries`` and the decoder's prefix read, and
-        # the arrays they held when ``_decoder_prefix`` last kept its result
+        # which with the GCN's matrix hold all that ``queries`` and the
+        # decoder's prefix read; ``_decoder_prefix`` keeps its result with
+        # the arrays they held
         self._prefix_reads = [] if self.decoder is None else [
             p for name, p in self.named_parameters().items()
             if name.startswith(("gcn.", "query_projection.", "query_table", "decoder.layer0."))]
@@ -205,22 +207,24 @@ class Model(nn.Module):
         return self.query_table
 
     def _decoder_prefix(self) -> tuple[T.Tensor, tuple[T.Tensor, T.Tensor]]:
-        """The queries and the decoder's ``prefix`` of them, without
+        """The queries and the decoder's layer-0 prefix of them, without
         dropout and under ``no_grad``.  The result is kept, and returned
-        again, while every parameter of the query source and of the
-        decoder's layer 0, a superset of what it read, still holds the same
-        read-only array: such an array cannot be written in place, and a
-        rebound one fails the identity check.  ``load_checkpoint`` makes
-        arrays read-only; those of a built model, or the ``Adam`` views of a
-        trained one, are writable, so such a model computes it every call."""
+        again, while the GCN's matrix and every parameter of the query
+        source and of the decoder's layer 0, a superset of what it read,
+        still hold the same read-only arrays: such an array cannot be
+        written in place, and a rebound one fails the identity check.
+        ``load_checkpoint`` makes arrays read-only; a built model's, or a
+        trained one's ``Adam`` views, are writable, so it recomputes."""
         arrays = [param.data for param in self._prefix_reads]
+        if self.gcn is not None:
+            arrays.append(self.gcn.propagation)
         fixed = not any(array.flags.writeable for array in arrays)
         kept = self._kept_prefix
         if fixed and kept is not None and all(map(operator.is_, arrays, kept[0])):
             return kept[1]
         with T.no_grad():
             queries = self.queries()
-            result = queries, self.decoder.prefix(queries)
+            result = queries, self.decoder.layers[0].prefix(queries)
         if fixed:
             for tensor in (queries, *result[1]):   # shared by every later call
                 tensor.data.flags.writeable = False
@@ -258,8 +262,8 @@ class Model(nn.Module):
         row the same bits at any row count only up to an inner width of 256
         and the feed-forward's is 4·``d_model``.  Even widths halve the
         chunks a call of mixed lengths runs.  The label queries and the
-        decoder's prefix of them (``SetDecoder.prefix``) are computed once
-        per call, or kept from an earlier call (``_decoder_prefix``).
+        decoder's prefix of them are computed once per call, or kept from an
+        earlier call (``_decoder_prefix``).
 
         A call of at least ``2 * SERVE_TOKENS`` real tokens, on a process
         that may run on more than one CPU, runs its chunks on a pool of one
@@ -308,7 +312,7 @@ class Model(nn.Module):
         return {name: p for name, p in self.named_parameters().items() if p.requires_grad}
 
 
-def build_model(config: RunConfig, corpus: Corpus, graph: LabelGraph | None = None) -> Model:
+def build_model(config: RunConfig, corpus: Corpus) -> Model:
     """Resolve the slot count, build the label graph if needed, assemble."""
     num_queries = resolve_num_queries(config, corpus)
     largest = max((len(s.labels) for s in corpus.train), default=0)
@@ -318,24 +322,22 @@ def build_model(config: RunConfig, corpus: Corpus, graph: LabelGraph | None = No
     resolved = RunConfig.from_dict({**config.to_dict(), "num_queries": num_queries})
     propagation = None
     if resolved.head == "set_prediction" and resolved.use_gcn:
-        if graph is None:
-            graph = LabelGraph(corpus.train, corpus.label_vocab,
-                               tau=resolved.tau, p_neighbor=resolved.p_neighbor)
-        propagation = graph.propagation
+        propagation = LabelGraph(corpus.train, corpus.label_vocab,
+                                 tau=resolved.tau, p_neighbor=resolved.p_neighbor).propagation
     rng = np.random.default_rng(resolved.seed)
     return Model(rng, resolved, corpus.label_vocab, corpus.token_vocab, propagation)
 
 
 def save_checkpoint(path, model: Model) -> None:
     """Write through a temp file and rename, so a crash mid-write leaves any
-    earlier checkpoint at ``path`` intact."""
+    earlier checkpoint at ``path`` intact.  ``__propagation__`` is the
+    GCN's own (float32) matrix, or zeros (0, 0) without a GCN."""
     arrays = {
         "__version__": np.array(CHECKPOINT_VERSION),
         "__config__": np.array(json.dumps(model.config.to_dict())),
         "__labels__": np.array(list(model.label_vocab.names)),
         "__tokens__": np.array(model.token_vocab.to_list()),
-        "__propagation__": (model.propagation if model.propagation is not None
-                            else np.zeros((0, 0))),
+        "__propagation__": model.gcn.propagation if model.gcn is not None else np.zeros((0, 0)),
     }
     for name, param in model.named_parameters().items():
         arrays[f"param/{name}"] = param.data
@@ -396,10 +398,11 @@ def _read_archive(path) -> dict[str, np.ndarray]:
 
 def load_checkpoint(path) -> Model:
     """The model a checkpoint stores, with its parameters in the model's
-    dtype (float32); float64 checkpoints load too.  A file that cannot be
-    read, or whose archive is damaged, is a ``CheckpointError``.  The
-    parameter arrays are read-only, so serving may keep what it computes
-    from them alone across calls; ``Adam`` rebinds them to writable views."""
+    dtype (float32), as is the GCN's matrix; float64 checkpoints load too.
+    A file that cannot be read, or whose archive is damaged, is a
+    ``CheckpointError``.  These arrays are read-only, so serving may keep
+    what it computes from them alone across calls; ``Adam`` rebinds the
+    parameters to writable views."""
     try:
         archive = _read_archive(path)
     # besides BadZipFile, zip raises EOFError for a member that runs past the
@@ -424,7 +427,7 @@ def load_checkpoint(path) -> Model:
     label_vocab = LabelVocabulary(_names(path, archive, "__labels__"))
     token_vocab = TokenVocabulary(_names(path, archive, "__tokens__", SPECIALS))
     propagation = _checked_array(path, "__propagation__",
-                                 _metadata(path, archive, "__propagation__"), np.float64)
+                                 _metadata(path, archive, "__propagation__"), nn.DTYPE)
     try:
         config = RunConfig.from_dict(raw)
         model = Model(np.random.default_rng(config.seed), config, label_vocab, token_vocab,

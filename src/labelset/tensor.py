@@ -431,7 +431,7 @@ def gelu(x) -> Tensor:
     return _record(x.data * cdf, (x,), backward_fn)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     The input is centred once and the centred rows give both the variance
@@ -443,7 +443,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     width = x.shape[-1]
     centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / width
     squares = centered * centered
-    inv_std = 1.0 / np.sqrt(np.add.reduce(squares, axis=-1, keepdims=True) / width + eps)
+    inv_std = 1.0 / np.sqrt(np.add.reduce(squares, axis=-1, keepdims=True) / width + 1e-5)
     xhat = np.multiply(centered, inv_std, out=centered)
     try:   # in place when gamma and beta have xhat's dtype and broadcast into it
         out = np.multiply(xhat, gamma.data, out=squares, casting="no")

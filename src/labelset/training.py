@@ -120,11 +120,11 @@ class BatchLoss(NamedTuple):
     bc_penalty: float
 
 
-def batch_loss(model: Model, samples, queries, dropout_rng=None) -> BatchLoss:
+def batch_loss(model: Model, samples, dropout_rng=None) -> BatchLoss:
     """Mean per-sample objective over one batch of samples, on the active
-    tape: one encoder and one decoder pass for the whole batch, matched per
-    sample.  Dropout runs exactly when given a Generator."""
-    config = model.config
+    tape: the model's queries, then one encoder and one decoder pass for the
+    whole batch, matched per sample.  Dropout runs when given a Generator."""
+    config, queries = model.config, model.queries()
     memory = model.encode([sample.tokens for sample in samples], rng=dropout_rng)
     labels = [sample.labels for sample in samples]
     if model.bce is not None:
@@ -185,7 +185,7 @@ def train(model: Model, corpus: Corpus, out_dir: str | None = None,
             try:
                 for samples in batch_iterator(corpus.train, config.batch_size, rng=shuffle_rng):
                     T.reset_tape()
-                    loss = batch_loss(model, samples, model.queries(), dropout_rng)
+                    loss = batch_loss(model, samples, dropout_rng)
                     value = float(loss.total.data)
                     if not np.isfinite(value):
                         raise NumericDomainError("non-finite loss")

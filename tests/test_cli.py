@@ -132,13 +132,17 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {cfg} is not valid JSON: 'utf-8' codec")
 
-    def test_train_without_valid_split_is_config_error(self, tmp_path, corpus_dir):
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_training_without_valid_split_is_config_error(self, tmp_path, corpus_dir, capsys,
+                                                          command):
         cfg = tmp_path / "c.json"
         config = write_config(cfg, corpus_dir, out_dir=str(tmp_path / "out"))
         del config["valid_path"]
         del config["test_path"]
         cfg.write_text(json.dumps(config))
-        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: valid_path is required")
+        assert not (tmp_path / "out").exists()
 
     def test_too_few_slots_is_config_error_before_training(self, tmp_path, corpus_dir, capsys):
         cfg = tmp_path / "c.json"
@@ -501,32 +505,60 @@ class TestEveryInputEndsInADocumentedExit:
     ("set_prediction", "__config__", lambda a: np.array(json.dumps({**json.loads(str(a)), "epochs": 0}))),
     ("set_prediction", "__propagation__", lambda a: a[:-1, :-1]),
     ("set_prediction", "__labels__", lambda a: a[:-1]),
+    ("bce", "__labels__", lambda a: a[:0]),
 ], ids=["bce-nan", "set-nan", "set-inf", "complex", "string", "propagation-nan",
         "config-not-json", "config-null", "version-not-int", "config-missing", "labels-missing",
         "labels-scalar", "labels-repeated", "tokens-repeated", "tokens-specials-reordered",
-        "config-nested-too-deeply", "config-rejected", "propagation-too-small", "labels-too-few"])
+        "config-nested-too-deeply", "config-rejected", "propagation-too-small", "labels-too-few",
+        "labels-empty"])
 def test_predict_rejects_a_bad_checkpoint_array(tmp_path, capsys, head, name, poison):
+    def mutate(blob):
+        blob[name] = poison(blob[name])
+        if blob[name] is None:   # the array goes missing
+            del blob[name]
+
+    assert name in predict_on_tampered_checkpoint(tmp_path, capsys, mutate, head=head)
+
+
+@pytest.mark.parametrize("head, readout, kept", [("bce", "bce.readout", slice(0)),
+                                                 ("set_prediction", "decoder.head", slice(-1, None))],
+                         ids=["bce", "set_prediction"])
+def test_predict_rejects_a_checkpoint_without_labels(tmp_path, capsys, head, readout, kept):
+    # every array agrees with an empty label list: the readout keeps no label
+    # column (the set head only its no-label class) and there is no GCN
+    def mutate(blob):
+        blob["__labels__"] = blob["__labels__"][:0]
+        for name in ("weight", "bias"):
+            blob[f"param/{readout}.{name}"] = blob[f"param/{readout}.{name}"][..., kept]
+
+    err = predict_on_tampered_checkpoint(tmp_path, capsys, mutate, head=head, use_gcn=False)
+    assert "at least one label" in err
+
+
+def predict_on_tampered_checkpoint(tmp_path, capsys, mutate, **settings):
+    """Run ``labelset predict`` on a small untrained checkpoint of
+    ``settings`` whose arrays ``mutate`` changed in place; assert that it
+    exits 1, names the checkpoint and writes no output, and return stderr."""
     corpus = synthetic_corpus(SyntheticSpec(num_labels=5, vocab_size=30, train_size=24,
                                             valid_size=8, test_size=8, seed=11))
     config = RunConfig(d_model=8, encoder_layers=1, decoder_layers=1, encoder_heads=2,
-                       decoder_heads=2, gcn_layers=1, max_len=16, head=head)
+                       decoder_heads=2, gcn_layers=1, max_len=16, **settings)
     checkpoint = tmp_path / "best.npz"
     save_checkpoint(str(checkpoint), build_model(config, corpus))
     with np.load(str(checkpoint), allow_pickle=False) as archive:
         blob = {key: archive[key] for key in archive.files}
-    blob[name] = poison(blob[name])
-    if blob[name] is None:   # the array goes missing
-        del blob[name]
+    mutate(blob)
     np.savez(str(checkpoint), **blob)
     inputs = tmp_path / "in.jsonl"
     inputs.write_text(json.dumps({"text": "trig0 a"}) + "\n")
     outputs = tmp_path / "out.jsonl"
     code = main(["predict", "--checkpoint", str(checkpoint),
                  "--input", str(inputs), "--output", str(outputs)])
-    assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: checkpoint {checkpoint} ") and name in err, err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith(f"error: checkpoint {checkpoint} "), err
     assert not outputs.exists()
+    return err
 
 
 @pytest.mark.parametrize("head, unloaded", [("set_prediction", "scipy"), ("bce", "scipy.optimize")])

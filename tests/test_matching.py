@@ -306,7 +306,7 @@ corpus = synthetic_corpus(SyntheticSpec(num_labels=5, vocab_size=30, train_size=
 model = build_model(RunConfig(d_model=8, encoder_layers=1, decoder_layers=1, encoder_heads=2,
                               decoder_heads=2, gcn_layers=1, max_len=16), corpus)
 print(any(name.startswith("scipy") for name in sys.modules))
-T.backward(batch_loss(model, list(corpus.train)[:4], model.queries()).total)
+T.backward(batch_loss(model, list(corpus.train)[:4]).total)
 print("scipy.optimize" in sys.modules)
 """
     done = run_python(["-c", script], tmp_path)

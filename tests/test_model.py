@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ class TestModelAssembly:
         names = dict(model.named_parameters())
         assert "query_table" in names
         assert not any(n.startswith("gcn.") for n in names)
-        assert model.propagation is None
+        assert model.gcn is None
 
     def test_bce_head_has_no_decoder(self):
         corpus = tiny_corpus()
@@ -496,7 +497,7 @@ class TestServingWhileTraining:
                 param.grad[...] = 0.0
             T.reset_tape()
             try:
-                T.backward(batch_loss(model, batch, model.queries()).total)
+                T.backward(batch_loss(model, batch).total)
             except ContractError as exc:   # a loss recorded under another thread's no_grad
                 return str(exc)
             finally:
@@ -540,7 +541,7 @@ class TestServingWhileTraining:
 
         monkeypatch.setattr(threading.Thread, "start", counted_start)
         T.reset_tape()
-        loss = batch_loss(model, next(batch_iterator(corpus.train, 8)), model.queries())
+        loss = batch_loss(model, next(batch_iterator(corpus.train, 8)))
         recorded = len(T.active_tape())
         assert recorded == 83
         model.predict_many(rows)
@@ -749,6 +750,26 @@ class TestKeptPrefix:
         # a read-only replacement is kept in turn; a writable one never is
         assert any(array is new for array in model._kept_prefix[0]) == (not writeable)
 
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_a_rebound_propagation_matrix_serves_its_new_values(self, monkeypatch, tmp_path,
+                                                                trained, writeable):
+        _, corpus, path = trained["default"]
+        model = load_checkpoint(path)
+        rows = [sample.tokens for sample in corpus.valid.samples[:20]]
+        before = served(monkeypatch, model, rows, one_row=True)
+        identity = np.eye(model.label_vocab.size, dtype=np.float32)
+        identity.flags.writeable = writeable
+        model.gcn.propagation = identity
+        after = served(monkeypatch, model, rows, one_row=True)
+        # a fresh load of the same checkpoint storing the identity, in float64
+        # as checkpoints before the GCN's own matrix was saved stored it
+        fresh = tmp_path / "identity.npz"
+        fresh.write_bytes(Path(path).read_bytes())
+        tampered(fresh, lambda blob: blob.update(__propagation__=np.eye(len(identity))))
+        assert after == served(monkeypatch, load_checkpoint(str(fresh)), rows, one_row=True)
+        assert after[0] != before[0]
+        assert any(array is identity for array in model._kept_prefix[0]) == (not writeable)
+
     def test_every_rebound_parameter_serves_its_new_values(self, monkeypatch, trained):
         # a parameter the prefix reads but the kept prefix's check missed
         # would serve the old values once rebound to a read-only array
@@ -771,7 +792,7 @@ class TestKeptPrefix:
         optimizer = Adam(model.trainable_parameters(), model.config.learning_rate)
         assert served(monkeypatch, model, rows, one_row=True) == before
         T.reset_tape()
-        T.backward(batch_loss(model, next(batch_iterator(corpus.train, 8)), model.queries()).total)
+        T.backward(batch_loss(model, next(batch_iterator(corpus.train, 8))).total)
         T.reset_tape()
         optimizer.step()
         after = served(monkeypatch, model, rows, one_row=True)
@@ -817,7 +838,8 @@ class TestCheckpoint:
         assert set(before) == set(after)
         for name in before:
             assert np.array_equal(before[name].data, after[name].data)
-        assert np.array_equal(restored.propagation, model.propagation)
+        assert restored.gcn.propagation.dtype == model.gcn.propagation.dtype
+        assert np.array_equal(restored.gcn.propagation, model.gcn.propagation)
         assert evaluate(restored, corpus.test) == evaluate(model, corpus.test)
 
     def test_no_gcn_round_trip(self, tmp_path):
@@ -826,7 +848,7 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(str(path), model)
         restored = load_checkpoint(str(path))
-        assert restored.propagation is None
+        assert restored.gcn is None
         assert evaluate(restored, corpus.test) == evaluate(model, corpus.test)
 
     def test_version_mismatch_rejected(self, tmp_path):

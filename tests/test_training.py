@@ -282,11 +282,11 @@ class TestTrainingLoop:
         calls = {"n": 0}
         batches_per_epoch = math.ceil(len(corpus.train.samples) / cfg.batch_size)
 
-        def poisoned(model, samples, queries, dropout_rng=None):
+        def poisoned(model, samples, dropout_rng=None):
             calls["n"] += 1
             if calls["n"] > batches_per_epoch:  # first batch of epoch 2
                 return BatchLoss(T.Tensor(np.array(float("nan"))), float("nan"), 0.0)
-            return real(model, samples, queries, dropout_rng)
+            return real(model, samples, dropout_rng)
 
         monkeypatch.setattr(training_mod, "batch_loss", poisoned)
         with pytest.raises(TrainingDiverged, match="epoch 2"):
@@ -375,7 +375,7 @@ class TestBatchLoss:
         assert sorted(mask.sum(axis=1)) == [3.0, 4.0, 6.0]
         params = model.named_parameters()
         leaves = [params[name] for name in sorted(params)]
-        check_gradients(lambda _: batch_loss(model, samples, model.queries()).total,
+        check_gradients(lambda _: batch_loss(model, samples).total,
                         leaves, tol=1e-3, step=1e-5)
 
     def test_batch_loss_is_the_mean_of_per_sample_losses(self, monkeypatch):
@@ -384,11 +384,11 @@ class TestBatchLoss:
         batch = next(batch_iterator(corpus.train, 4))
         width = max(len(model.encoder.clip(sample.tokens)) for sample in batch)
         with T.no_grad():
-            whole = float(batch_loss(model, batch, model.queries()).total.data)
+            whole = float(batch_loss(model, batch).total.data)
             # each sample alone, padded to the batch's width
             encode = model.encode
             monkeypatch.setattr(model, "encode", lambda rows, rng=None: encode(rows, width, rng))
-            alone = [float(batch_loss(model, [sample], model.queries()).total.data)
+            alone = [float(batch_loss(model, [sample]).total.data)
                      for sample in batch]
         assert whole == pytest.approx(np.mean(alone), rel=1e-12)
 
@@ -408,7 +408,7 @@ class TestBatchLoss:
         model.decoder.decode(queries, memory, rng=np.random.default_rng(0))
         decode_nodes = len(tape) - before_decode
         T.reset_tape()
-        batch_loss(model, batch, model.queries(), np.random.default_rng(0))
+        batch_loss(model, batch, np.random.default_rng(0))
         nodes = len(tape)
         T.reset_tape()
         assert encode_nodes <= 28, f"{encode_nodes} tape nodes in encode"
@@ -422,7 +422,7 @@ class TestBatchLoss:
         model = build_model(RunConfig(dropout=0.1), corpus)
         batch = next(batch_iterator(corpus.train, 8))
         T.reset_tape()
-        loss = batch_loss(model, batch, model.queries(), np.random.default_rng(0))
+        loss = batch_loss(model, batch, np.random.default_rng(0))
         constants = [p for node in T.active_tape() for p in node._parents if not p.requires_grad]
         receivers = []
         accumulate = T._accumulate
@@ -456,7 +456,7 @@ def first_batch(spec, overrides):
 
 def parameter_gradients(model, batch) -> dict:
     T.reset_tape()
-    T.backward(batch_loss(model, batch, model.queries()).total)
+    T.backward(batch_loss(model, batch).total)
     T.reset_tape()
     return {name: p.grad.copy() for name, p in model.named_parameters().items()}
 
@@ -480,7 +480,7 @@ class TestFloat32:
 
         monkeypatch.setattr(T, "_accumulate", recording)
         T.reset_tape()
-        T.backward(batch_loss(model, batch, model.queries(), np.random.default_rng(0)).total)
+        T.backward(batch_loss(model, batch, np.random.default_rng(0)).total)
         nodes = [node.data.dtype for node in T.active_tape()]
         T.reset_tape()
         # the overlap penalty sums in float64, and so do the weighted sum and
@@ -516,7 +516,7 @@ def test_a_batch_records_only_the_documented_op_kinds():
     for case in ("default", "bce"):
         model, batch = first_batch(*PRECISION_CASES[case])
         T.reset_tape()
-        batch_loss(model, batch, model.queries())
+        batch_loss(model, batch)
         kinds = {node._backward_fn.__qualname__.split(".")[0] for node in T.active_tape()}
         T.reset_tape()
         # the overlap penalty, or the bce head's cross entropy, is a custom op
